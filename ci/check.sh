@@ -17,6 +17,10 @@
 #   scripts/odf_lint.py      repo-specific rules (see its docstring)
 #   clang-tidy               over src/ when the binary exists (skipped otherwise —
 #                            the container image may not ship it)
+#
+# The run ends with a "gates NOT exercised" section naming every gate that skipped on this
+# toolchain (no clang++, no clang-tidy, a label or preset that selected zero tests). Skips
+# do not change the exit status; the section is there so a green run cannot hide them.
 
 set -u -o pipefail
 
@@ -25,8 +29,34 @@ cd "$(dirname "$0")/.."
 JOBS="${ODF_CHECK_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 ONLY="${1:-}"
 FAILURES=()
+NOT_EXERCISED=()
 
 note() { printf '\n==== %s ====\n' "$*"; }
+
+# Records a gate that did not run on this toolchain (reported at the end).
+not_exercised() {
+  echo "$1"
+  NOT_EXERCISED+=("$1")
+}
+
+# Number of tests a ctest invocation would run (its arguments select them).
+test_count() {
+  ctest "$@" -N 2>/dev/null | sed -n 's/^Total Tests: *//p'
+}
+
+# One ctest label slice of the default build. A label that selects no test is reported as
+# not exercised instead of passing silently.
+run_label() {
+  local label="$1"
+  note "$label label (default preset)"
+  if [[ "$(test_count --test-dir build -L "$label")" == "0" ]]; then
+    not_exercised "$label label: no tests selected"
+    return 0
+  fi
+  if ! ctest --test-dir build -L "$label" --output-on-failure; then
+    FAILURES+=("$label label")
+  fi
+}
 
 run_preset() {
   local preset="$1"
@@ -42,6 +72,10 @@ run_preset() {
     FAILURES+=("$preset: build"); return 1
   fi
   note "preset $preset: test"
+  if [[ "$(test_count --preset "$preset")" == "0" ]]; then
+    not_exercised "preset $preset: no tests selected"
+    return 0
+  fi
   if ! ctest --preset "$preset"; then
     FAILURES+=("$preset: test"); return 1
   fi
@@ -52,10 +86,7 @@ run_preset default
 # The reclaim slice again, by itself: `ctest -L reclaim` must stay a usable
 # developer entry point (docs/reclaim.md), so CI exercises the label filter too.
 if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
-  note "reclaim label (default preset)"
-  if ! ctest --test-dir build -L reclaim --output-on-failure; then
-    FAILURES+=("reclaim label")
-  fi
+  run_label reclaim
 fi
 
 # Flight recorder + deterministic replay (docs/replay.md): the labeled suite, then the
@@ -63,10 +94,7 @@ fi
 # against a fresh kernel, and fail on any divergence in op outcomes, final memory digests,
 # refcounts, or vmstat counters.
 if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
-  note "replay label (default preset)"
-  if ! ctest --test-dir build -L replay --output-on-failure; then
-    FAILURES+=("replay label")
-  fi
+  run_label replay
   note "replay determinism gate (odf-replay selftest)"
   if ! ./build/src/replay/odf-replay selftest build/odf-replay-selftest.odflog; then
     FAILURES+=("replay selftest")
@@ -89,10 +117,7 @@ fi
 # offline, containment through shared ODF tables, quarantine permanence, the poisoned-PTE
 # fault contract — must stay a usable developer entry point like the other labels.
 if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
-  note "hwpoison label (default preset)"
-  if ! ctest --test-dir build -L hwpoison --output-on-failure; then
-    FAILURES+=("hwpoison label")
-  fi
+  run_label hwpoison
 fi
 
 # The recorder must stay fully compileable-out: -DODF_REPLAY=OFF folds every OpScope to
@@ -135,12 +160,14 @@ if [[ -z "$ONLY" || "$ONLY" == "thread-safety" ]]; then
       FAILURES+=("thread-safety: build")
     fi
   else
-    echo "clang++ not installed; skipping -Werror=thread-safety build (GCC ignores the annotations)"
+    not_exercised "clang -Werror=thread-safety build: clang++ not installed"
   fi
   note "thread-safety: negative-compile harness"
   bash tests/negative_compile/run.sh
   NEG_STATUS=$?
-  if [[ $NEG_STATUS -ne 0 && $NEG_STATUS -ne 77 ]]; then
+  if [[ $NEG_STATUS -eq 77 ]]; then
+    not_exercised "negative_compile: skipped (no clang++)"
+  elif [[ $NEG_STATUS -ne 0 ]]; then
     FAILURES+=("thread-safety: negative-compile harness")
   fi
 fi
@@ -173,8 +200,15 @@ if [[ -z "$ONLY" || "$ONLY" == "lint" ]]; then
       fi
     fi
   else
-    echo "clang-tidy not installed; skipping (install it to enable this gate)"
+    not_exercised "clang-tidy: not installed (install it to enable this gate)"
   fi
+fi
+
+note "gates NOT exercised"
+if ((${#NOT_EXERCISED[@]})); then
+  printf '  %s\n' "${NOT_EXERCISED[@]}"
+else
+  echo "  (none)"
 fi
 
 if ((${#FAILURES[@]})); then

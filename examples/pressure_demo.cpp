@@ -1,11 +1,10 @@
-// Example: the §4 "Robustness" machinery end to end — cap simulated RAM, watch the clock
+// Example: the §4 "Robustness" machinery end to end — cap simulated RAM, watch the CLOCK
 // reclaimer push cold pages to swap while a working set stays resident, then drive the
 // machine into an OOM kill, with procfs-style reports along the way.
 //
 //   ./build/examples/pressure_demo
 #include <cstdio>
 
-#include "src/mm/reclaim.h"
 #include "src/proc/auditor.h"
 #include "src/proc/procfs.h"
 
@@ -27,7 +26,7 @@ int main() {
   odf::ProcessMemoryReport report = odf::BuildMemoryReport(worker);
   std::printf("after the fill:  %s\n", odf::FormatStatusLine(report).c_str());
   std::printf("reclaim activity: %llu pages swapped out so far\n",
-              (unsigned long long)worker.address_space().stats().pages_swapped_out);
+              (unsigned long long)kernel.swap_space().Stats().writes);
 
   // Re-touch a hot working set; everything must read back correctly via swap-ins.
   std::printf("\nverifying all %llu MB (transparent swap-ins)...\n",

@@ -72,9 +72,9 @@ offending line or the line above it — always with a reason):
   direct-writeback
       SwapSpace::TryWriteOut may only be called from src/reclaim/ and
       src/mm/swap.cc. Everywhere else, pushing a page to swap must go through
-      the reclaim shrinker: a direct write-out bypasses the rmap broadcast
-      (other mappings keep referencing the freed frame), the LRU bookkeeping,
-      and the workingset shadow recording (docs/reclaim.md).
+      the reclaim shrinker: a direct write-out bypasses the broadcast into
+      every slot the sweep finds (other mappings keep referencing the freed
+      frame) and the refcount test that guards it (docs/reclaim.md).
 
   table-mutex
       Kernel::table_mutex_ may only be named inside src/proc/kernel.cc (and its
@@ -358,7 +358,7 @@ def lint_file(rel_path, findings):
                 "table-mutex",
                 "Kernel::table_mutex_ referenced outside src/proc/kernel.cc — the "
                 "process-table lock protects only the pid map; MM state is guarded "
-                "by the per-AS MmLockTable and reclaim::MmGate",
+                "by the per-AS MmLockTable and MmGate",
                 column_of(TABLE_MUTEX_RE, raw, code),
             )
 
@@ -366,8 +366,7 @@ def lint_file(rel_path, findings):
             report(
                 "direct-writeback",
                 "direct SwapSpace::TryWriteOut call outside src/reclaim/ — evict "
-                "through the shrinker so rmap, LRU, and workingset state stay "
-                "consistent",
+                "through the shrinker so every mapping of the frame is rewritten",
                 column_of(WRITEBACK_RE, raw, code),
             )
 

@@ -8,7 +8,6 @@
 #include "src/core/fork_internal.h"
 #include "src/mm/fault.h"
 #include "src/mm/range_ops.h"
-#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -18,14 +17,38 @@ namespace odf {
 
 namespace {
 
+// Profiling policies for CopyPteSlice, chosen at compile time so the unprofiled fork pays
+// nothing for the Fig. 3 breakdown. Lap() charges the time since the previous lap to one
+// ForkProfile bucket.
+struct NoProfile {
+  void Lap(uint64_t ForkProfile::*) {}
+  void Copied(uint64_t) {}
+};
+
+class TimedProfile {
+ public:
+  explicit TimedProfile(ForkProfile* profile) : profile_(profile) {}
+  void Lap(uint64_t ForkProfile::*bucket) {
+    profile_->*bucket += sw_.ElapsedNanos();
+    sw_.Restart();
+  }
+  void Copied(uint64_t entries) { profile_->pte_entries_copied += entries; }
+
+ private:
+  ForkProfile* profile_;
+  Stopwatch sw_;
+};
+
 // Copies the present entries of one parent PTE table slice [lo, hi) into the child's table.
-// Two passes: resolve metadata and collect compound heads (the compound_head() hotspot of
-// Fig. 3), batch-increment every refcount in one IncRefBatch call, then write the entries.
-// References are taken before any child entry becomes visible, so the table never points at
-// an under-referenced frame.
-void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
-                       reclaim::RmapRegistry* rmap, uint64_t* src, uint64_t* dst, Vaddr lo,
-                       Vaddr hi, bool wrprotect, ForkCounters* counters) {
+// Three batched passes, which is also what lets the profiled build attribute their time
+// separately (the Fig. 3 breakdown): resolve metadata and collect compound heads (the
+// compound_head() hotspot), batch-increment every refcount in one IncRefBatch call, then
+// write the entries. References are taken before any child entry becomes visible, so the
+// table never points at an under-referenced frame.
+template <typename Profile>
+void CopyPteSlice(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src, uint64_t* dst,
+                  Vaddr lo, Vaddr hi, bool wrprotect, ForkCounters* counters,
+                  Profile profile) {
   std::array<uint64_t, kEntriesPerTable> indices;
   std::array<FrameId, kEntriesPerTable> heads;
   size_t present = 0;
@@ -56,8 +79,12 @@ void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
     indices[present] = index;
     ++present;
   }
+  profile.Lap(&ForkProfile::meta_resolve_ns);
+
   // page_ref_inc for the whole table at one call site (docs/performance.md).
   allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
+  profile.Lap(&ForkProfile::refcount_ns);
+
   for (size_t i = 0; i < present; ++i) {
     uint64_t index = indices[i];
     Pte entry = LoadEntry(&src[index]);
@@ -67,84 +94,21 @@ void CopyPteSliceFused(FrameAllocator& allocator, SwapSpace* swap,
       entry = protected_entry;
     }
     StoreEntry(&dst[index], entry);
-    if (rmap != nullptr) {
-      rmap->Add(entry.frame(), &dst[index]);
-    }
   }
+  profile.Lap(&ForkProfile::entry_copy_ns);
+
   copied += present;
+  profile.Copied(copied);
   if (counters != nullptr) {
     counters->pte_entries_copied += copied;
   }
   CountVm(VmCounter::k_fork_pte_entries_copied, copied);  // Batched: one add per table.
 }
 
-// Instrumented variant: performs the same work in three batched passes so the time spent in
-// metadata resolution, refcounting, and entry writing can be attributed separately (the
-// Fig. 3 breakdown).
-void CopyPteSliceProfiled(FrameAllocator& allocator, SwapSpace* swap,
-                          reclaim::RmapRegistry* rmap, uint64_t* src, uint64_t* dst,
-                          Vaddr lo, Vaddr hi, bool wrprotect, ForkProfile* profile,
-                          ForkCounters* counters) {
-  std::array<uint64_t, kEntriesPerTable> indices;
-  std::array<FrameId, kEntriesPerTable> heads;
-  size_t present = 0;
-
-  Stopwatch sw;
-  for (Vaddr va = lo; va < hi; va += kPageSize) {
-    uint64_t index = TableIndex(va, PtLevel::kPte);
-    Pte entry = LoadEntry(&src[index]);
-    if (entry.IsSwap()) {
-      ODF_CHECK(swap != nullptr);
-      swap->IncRef(entry.swap_slot());
-      StoreEntry(&dst[index], entry);
-      continue;
-    }
-    if (entry.IsHwPoison()) {
-      StoreEntry(&dst[index], entry);  // Marker copies verbatim; no reference taken.
-      continue;
-    }
-    if (!entry.IsPresent()) {
-      continue;
-    }
-    FrameId frame = entry.frame();
-    PageMeta& meta = allocator.GetMeta(frame);
-    heads[present] = ResolveCompoundHead(meta, frame);
-    indices[present] = index;
-    ++present;
-  }
-  profile->meta_resolve_ns += sw.ElapsedNanos();
-
-  sw.Restart();
-  allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
-  profile->refcount_ns += sw.ElapsedNanos();
-
-  sw.Restart();
-  for (size_t i = 0; i < present; ++i) {
-    uint64_t index = indices[i];
-    Pte entry = LoadEntry(&src[index]);
-    if (wrprotect && entry.IsWritable()) {
-      Pte protected_entry = entry.WithoutFlag(kPteWritable);
-      StoreEntry(&src[index], protected_entry);
-      entry = protected_entry;
-    }
-    StoreEntry(&dst[index], entry);
-    if (rmap != nullptr) {
-      rmap->Add(entry.frame(), &dst[index]);
-    }
-  }
-  profile->entry_copy_ns += sw.ElapsedNanos();
-
-  profile->pte_entries_copied += present;
-  if (counters != nullptr) {
-    counters->pte_entries_copied += present;
-  }
-  CountVm(VmCounter::k_fork_pte_entries_copied, present);
-}
-
 }  // namespace
 
-void CopyHugeEntry(FrameAllocator& allocator, reclaim::RmapRegistry* rmap,
-                   uint64_t* parent_slot, uint64_t* child_slot, ForkCounters* counters) {
+void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot,
+                   ForkCounters* counters) {
   Pte entry = LoadEntry(parent_slot);
   ODF_DCHECK(entry.IsPresent() && entry.IsHuge());
   FrameId head = entry.frame();
@@ -155,9 +119,6 @@ void CopyHugeEntry(FrameAllocator& allocator, reclaim::RmapRegistry* rmap,
     entry = protected_entry;
   }
   StoreEntry(child_slot, entry);
-  if (rmap != nullptr) {
-    rmap->Add(head, child_slot, /*huge=*/true);
-  }
   if (counters != nullptr) {
     ++counters->huge_entries_copied;
   }
@@ -234,7 +195,7 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
           return false;
         }
         if (!LoadEntry(child_pmd).IsPresent()) {
-          CopyHugeEntry(allocator, child.rmap(), parent_pmd, child_pmd, counters);
+          CopyHugeEntry(allocator, parent_pmd, child_pmd, counters);
         }
         continue;
       }
@@ -269,11 +230,11 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
       if (profile != nullptr) {
         profile->table_alloc_ns += alloc_sw.ElapsedNanos();
         ++profile->pte_tables_visited;
-        CopyPteSliceProfiled(allocator, parent.swap_space(), child.rmap(), src, dst, lo, hi,
-                             wrprotect, profile, counters);
+        CopyPteSlice(allocator, parent.swap_space(), src, dst, lo, hi, wrprotect, counters,
+                     TimedProfile(profile));
       } else {
-        CopyPteSliceFused(allocator, parent.swap_space(), child.rmap(), src, dst, lo, hi,
-                          wrprotect, counters);
+        CopyPteSlice(allocator, parent.swap_space(), src, dst, lo, hi, wrprotect, counters,
+                     NoProfile());
       }
     }
   }

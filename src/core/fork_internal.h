@@ -22,11 +22,10 @@ bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProf
                              ForkCounters* counters, bool share_pmd_tables);
 
 // Copies a huge (PMD-level) mapping entry from `parent_slot` into `child_slot`: takes a
-// reference on the compound page, write-protects private mappings in both entries, and
-// registers the child's new mapping in the reverse map (`rmap` may be nullptr).
+// reference on the compound page and write-protects private mappings in both entries.
 // Shared-file huge mappings are not supported (matches AddressSpace).
-void CopyHugeEntry(FrameAllocator& allocator, reclaim::RmapRegistry* rmap,
-                   uint64_t* parent_slot, uint64_t* child_slot, ForkCounters* counters);
+void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot,
+                   ForkCounters* counters);
 
 }  // namespace odf
 

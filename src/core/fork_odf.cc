@@ -17,7 +17,6 @@
 #include "src/core/fork_internal.h"
 #include "src/mm/fault.h"
 #include "src/mm/range_ops.h"
-#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -30,7 +29,6 @@ namespace {
 struct ShareState {
   FrameAllocator* allocator;
   ForkCounters* counters;
-  reclaim::RmapRegistry* rmap = nullptr;
   int32_t pid = 0;
   bool share_pmd_tables = false;
   uint64_t pte_tables_shared = 0;
@@ -67,7 +65,7 @@ void ShareAllPteTables(ShareState& state, uint64_t* src, uint64_t* dst) {
       continue;
     }
     if (entry.IsHuge()) {
-      CopyHugeEntry(allocator, state.rmap, &src[i], &dst[i], state.counters);
+      CopyHugeEntry(allocator, &src[i], &dst[i], state.counters);
       continue;
     }
     indices[shared] = i;
@@ -142,7 +140,6 @@ bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProf
                              ForkCounters* counters, bool share_pmd_tables) {
   Stopwatch sw;
   ShareState state{&parent.allocator(), counters};
-  state.rmap = child.rmap();
   state.pid = parent.owner_pid();
   state.share_pmd_tables = share_pmd_tables;
   bool ok = ShareLevel(state, parent.pgd(), child.pgd(), PtLevel::kPgd);

@@ -2,11 +2,12 @@
 
 #include <atomic>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "src/proc/auditor.h"
 #include "src/proc/kernel.h"
-#include "src/reclaim/mm_gate.h"
-#include "src/reclaim/rmap.h"
+#include "src/pt/mm_gate.h"
 #include "src/util/log.h"
 
 namespace odf {
@@ -24,7 +25,8 @@ std::atomic<uint64_t> g_skipped_reentrant{0};
 std::atomic<uint64_t> g_skipped_concurrent{0};
 std::atomic<uint64_t> g_skipped_disabled{0};
 
-void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& result) {
+void SweepFrameArray(Kernel& kernel, const AuditResult& audit,
+                     const std::unordered_set<FrameId>& mapped, VerifyResult& result) {
   FrameAllocator& allocator = kernel.allocator();
   uint64_t total = allocator.Stats().total_frames;
   auto violation = [&result](FrameId frame, const PageMeta& meta, const std::string& what) {
@@ -39,17 +41,14 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& res
     ++result.frames_swept;
     if (meta.IsHwPoisoned()) {
       // Quarantine bijection (docs/memory-failure.md): a poisoned frame is unmapped (the
-      // offline rewrote every location; the auditor separately rejects present leaves that
-      // reference it), off the LRU (never swap out dead bytes), and — once its last owner
-      // dropped it — parked in quarantine, never re-allocatable. Allocated+poisoned is
-      // legal only as the tail of a still-live split compound or a frame awaiting its
-      // final DecRef; those still must have no mappings.
+      // offline rewrote every mapping, so neither the reclaim sweep nor the auditor may
+      // find a present leaf for it — reclaim never swaps out dead bytes) and — once its
+      // last owner dropped it — parked in quarantine, never re-allocatable.
+      // Allocated+poisoned is legal only as the tail of a still-live split compound or a
+      // frame awaiting its final DecRef; those still must have no mappings.
       ++poisoned_seen;
-      if (kernel.rmap().LocationCount(frame) != 0) {
-        violation(frame, meta, "hwpoisoned frame still has rmap locations");
-      }
-      if (kernel.lru().Contains(frame)) {
-        violation(frame, meta, "hwpoisoned frame on the LRU");
+      if (mapped.count(frame) != 0) {
+        violation(frame, meta, "hwpoisoned frame still mapped");
       }
       if (meta.IsPageTable()) {
         violation(frame, meta, "hwpoisoned page-table frame (offline must refuse these)");
@@ -143,27 +142,39 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit, VerifyResult& res
   }
 }
 
-// Cross-checks the rmap registry against the auditor's page-table walk: every present
-// leaf slot must be registered with exactly the frame id and granularity stored in it,
-// and the registry must hold nothing else (an exact bijection — docs/reclaim.md "Rmap
-// invariants"). A missing location means reclaim cannot find a mapping (data corruption
-// on eviction); a stale one means reclaim would rewrite a slot it no longer owns.
-void CheckRmap(Kernel& kernel, const AuditResult& audit, VerifyResult& result) {
-  reclaim::RmapRegistry& rmap = kernel.rmap();
-  for (const auto& [slot, mapping] : audit.leaf_slots) {
-    if (!rmap.Contains(mapping.first, slot, mapping.second)) {
+// Cross-checks the reclaim sweep (src/reclaim/rmap.h) against the auditor's independent
+// page-table walk: every present leaf slot the walk found must be found by the sweep with
+// exactly the frame id and granularity stored in it, and the sweep must find nothing else
+// and nothing twice (an exact bijection — docs/reclaim.md "Sweep invariants"). A missing
+// slot means reclaim or offline cannot find a mapping (data corruption on eviction, a
+// live translation to a dead frame); a duplicate means a shared-table slot would be
+// counted per sharer, and eviction's refcount test would no longer hold. Returns the
+// frames the sweep found mapped.
+std::unordered_set<FrameId> CheckSweep(Kernel& kernel, const AuditResult& audit,
+                                       VerifyResult& result) {
+  std::unordered_map<const uint64_t*, std::pair<FrameId, bool>> swept;
+  std::unordered_set<FrameId> mapped;
+  kernel.rmap().ForEachMapping([&](const reclaim::Mapping& mapping) {
+    if (!swept.emplace(mapping.slot, std::make_pair(mapping.frame, mapping.huge)).second) {
+      result.violations.push_back("reclaim sweep found the leaf for frame " +
+                                  std::to_string(mapping.frame) + " twice");
+    }
+    mapped.insert(mapping.frame);
+  });
+  for (const auto& [slot, leaf] : audit.leaf_slots) {
+    auto it = swept.find(slot);
+    if (it == swept.end() || it->second != leaf) {
       result.violations.push_back(
-          "present leaf entry for frame " + std::to_string(mapping.first) +
-          (mapping.second ? " (huge)" : "") + " has no rmap location");
+          "present leaf entry for frame " + std::to_string(leaf.first) +
+          (leaf.second ? " (huge)" : "") + " not found by the reclaim sweep");
     }
   }
-  uint64_t locations = rmap.TotalLocations();
-  if (locations != audit.leaf_slots.size()) {
+  if (swept.size() != audit.leaf_slots.size()) {
     result.violations.push_back(
-        "rmap holds " + std::to_string(locations) + " locations but the walk found " +
-        std::to_string(audit.leaf_slots.size()) +
-        " present leaf entries (stale or duplicate rmap state)");
+        "reclaim sweep found " + std::to_string(swept.size()) +
+        " leaf slots but the audit walk found " + std::to_string(audit.leaf_slots.size()));
   }
+  return mapped;
 }
 
 }  // namespace
@@ -184,18 +195,18 @@ std::string VerifyResult::Describe() const {
 }
 
 VerifyResult VerifyKernel(Kernel& kernel) {
-  // Freeze the VM: the walk reads paging structures non-atomically and the rmap
+  // Freeze the VM: the walk reads paging structures non-atomically and the sweep
   // comparison needs slots that are not being rewritten. The exclusive gate holds off
   // every mutator AND the shrinker (reentrant if this thread already holds it).
-  reclaim::MmGate::ExclusiveScope gate;
+  MmGate::ExclusiveScope gate;
   AuditResult audit = AuditKernel(kernel);
   VerifyResult result;
   result.violations = audit.violations;
   result.processes_audited = audit.processes_audited;
   result.tables_checked = audit.tables_checked;
   result.leaf_entries_checked = audit.leaf_entries_checked;
-  CheckRmap(kernel, audit, result);
-  SweepFrameArray(kernel, audit, result);
+  std::unordered_set<FrameId> mapped = CheckSweep(kernel, audit, result);
+  SweepFrameArray(kernel, audit, mapped, result);
   return result;
 }
 

@@ -48,7 +48,6 @@ namespace odf {
   X(page_table_alloc)       \
   X(swap_out)               \
   X(swap_in)                \
-  X(rmap_alloc)             \
   X(reclaim_writeback)      \
   X(mf_ecc)
 

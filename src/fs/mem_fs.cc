@@ -43,7 +43,7 @@ FrameId MemFile::GetPage(uint64_t index) {
     }
   }
   // Allocate OUTSIDE mutex_: a NOFAIL allocation under pressure blocks in direct reclaim,
-  // and no lock may be held at a quota-wait point (src/reclaim/mm_gate.h). Double-checked
+  // and no lock may be held at a quota-wait point (src/pt/mm_gate.h). Double-checked
   // insert: a racing caller may have populated the slot meanwhile — keep theirs, free ours.
   // Faulting a page into the cache does not change the file size (pages past EOF can be
   // cached for mappings, as in real page caches).

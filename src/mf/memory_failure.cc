@@ -5,7 +5,7 @@
 #include "src/debug/debug.h"
 #include "src/mm/fault.h"
 #include "src/mm/range_ops.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -38,17 +38,13 @@ const char* MfResultName(MfResult result) {
 namespace {
 
 // Splits every huge (PMD-leaf) mapping of compound `head`, in every address space, so the
-// dead 4 KiB subpage can be offlined alone — the rest of the 2 MiB page survives. Huge
-// locations are registered in the rmap under the head, but a slot pointer alone cannot be
-// attributed to an owning space (the split needs the space's walker and TLB), hence the
-// full-space PMD scan; offline events are rare enough that the walk cost is irrelevant.
+// dead 4 KiB subpage can be offlined alone — the rest of the 2 MiB page survives. The
+// split needs each owning space's walker and TLB, hence a per-space PMD scan over the
+// VMAs; offline events are rare enough that the walk cost is irrelevant.
 // Returns false when a split's table allocation fails; splits already performed are
 // benign (a split mapping is valid state, faulting continues page by page).
 bool SplitAllHugeMappings(MfContext& ctx, FrameId head) {
-  if (!ctx.spaces) {
-    return true;  // Standalone use without a process layer: nothing maps huge.
-  }
-  for (AddressSpace* as : ctx.spaces()) {
+  for (const std::shared_ptr<AddressSpace>& as : ctx.rmap->Spaces()) {
     for (const auto& [start, vma] : as->vmas()) {
       for (Vaddr chunk = EntryBase(vma.start, PtLevel::kPmd); chunk < vma.end;
            chunk += kPteTableSpan) {
@@ -113,7 +109,7 @@ size_t CountFileCacheRefs(MfContext& ctx, FrameId frame) {
 }  // namespace
 
 MfResult HardOffline(MfContext& ctx, FrameId frame) {
-  ODF_DCHECK(reclaim::MmGate::ThreadHoldsExclusive())
+  ODF_DCHECK(MmGate::ThreadHoldsExclusive())
       << "memory failure without the MmGate held exclusive";
   FrameAllocator& allocator = *ctx.allocator;
   if (frame >= allocator.Stats().total_frames) {
@@ -145,16 +141,9 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
-  if (ctx.rmap != nullptr && ctx.rmap->IsUnstable(frame)) {
-    // An injected rmap_alloc failure means the reverse map may be missing a mapping;
-    // poisoning anyway would leave a live translation to the dead frame. Refuse.
-    CountVm(VmCounter::k_mf_offline_failed);
-    return MfResult::kFailedBusy;
-  }
-  std::vector<reclaim::RmapLocation> locations;
-  if (ctx.rmap != nullptr) {
-    ctx.rmap->Snapshot(frame, &locations);
-  }
+  // After the split pass every mapping of the frame is a 4 KiB slot.
+  std::vector<uint64_t*> slots;
+  ctx.rmap->CollectSlots(frame, &slots);
   bool is_file = (meta.flags & kPageFlagFile) != 0;
   // For a page-cache frame the contents are clean (the cache IS the backing store here, so
   // the relocation below plays the part of re-reading from disk): allocate the target
@@ -196,27 +185,23 @@ MfResult HardOffline(MfContext& ctx, FrameId frame) {
   // only a process that touches the VA sees kHwPoison. Relocated file mappings are simply
   // cleared: the next touch refaults from the moved page cache, losing nothing.
   bool anon_style = !is_file || relocated == 0;
-  for (const reclaim::RmapLocation& location : locations) {
-    ODF_DCHECK(!location.huge) << "huge mapping survived the split pass";
-    StoreEntry(location.slot, anon_style ? Pte::MakeHwPoison(frame) : Pte());
+  for (uint64_t* slot : slots) {
+    StoreEntry(slot, anon_style ? Pte::MakeHwPoison(frame) : Pte());
   }
-  if (!locations.empty() && ctx.rmap != nullptr) {
-    ctx.rmap->RemoveAll(frame);  // Also erases the frame from the LRU.
-    for (size_t i = 0; i < locations.size(); ++i) {
-      allocator.DecRef(holder);  // One reference per cleared mapping.
-    }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    allocator.DecRef(holder);  // One reference per cleared mapping.
   }
   if (ctx.flush_tlbs) {
     ctx.flush_tlbs();  // One coarse shootdown, while we still hold the gate.
   }
   allocator.DecRef(holder);  // Drop the pin; the last owner's free quarantines the frame.
   CountVm(VmCounter::k_mf_hard_offline);
-  ODF_TRACE(mf_hard_offline, 0, frame, locations.size());
-  return (locations.empty() && relocated == 0) ? MfResult::kDelayed : MfResult::kRecovered;
+  ODF_TRACE(mf_hard_offline, 0, frame, slots.size());
+  return (slots.empty() && relocated == 0) ? MfResult::kDelayed : MfResult::kRecovered;
 }
 
 MfResult SoftOffline(MfContext& ctx, FrameId frame) {
-  ODF_DCHECK(reclaim::MmGate::ThreadHoldsExclusive())
+  ODF_DCHECK(MmGate::ThreadHoldsExclusive())
       << "soft offline without the MmGate held exclusive";
   FrameAllocator& allocator = *ctx.allocator;
   if (frame >= allocator.Stats().total_frames) {
@@ -242,16 +227,10 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
-  if (ctx.rmap != nullptr && ctx.rmap->IsUnstable(frame)) {
-    CountVm(VmCounter::k_mf_offline_failed);
-    return MfResult::kFailedBusy;
-  }
-  std::vector<reclaim::RmapLocation> locations;
-  if (ctx.rmap != nullptr) {
-    ctx.rmap->Snapshot(frame, &locations);
-  }
+  std::vector<uint64_t*> slots;
+  ctx.rmap->CollectSlots(frame, &slots);
   size_t cache_refs = CountFileCacheRefs(ctx, frame);
-  if (locations.empty() && cache_refs == 0) {
+  if (slots.empty() && cache_refs == 0) {
     // Nothing maps or caches it; whoever holds it frees it into quarantine eventually.
     allocator.MarkHwPoison(frame);
     CountVm(VmCounter::k_mf_soft_offline);
@@ -264,7 +243,7 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   // references aggregate on the compound head where per-subpage attribution is impossible;
   // the head pin below keeps those safe instead.
   if (holder == frame &&
-      meta.refcount.load(std::memory_order_relaxed) != locations.size() + cache_refs) {
+      meta.refcount.load(std::memory_order_relaxed) != slots.size() + cache_refs) {
     CountVm(VmCounter::k_mf_offline_failed);
     return MfResult::kFailedBusy;
   }
@@ -286,18 +265,11 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   // Atomically repoint every mapping: ONE update per slot, so a slot inside a shared
   // on-demand-fork PTE table migrates the page for every sharer at once (§3.6). Flags
   // (writable / accessed / dirty) ride along unchanged.
-  for (const reclaim::RmapLocation& location : locations) {
-    ODF_DCHECK(!location.huge) << "huge mapping survived the split pass";
-    Pte entry = LoadEntry(location.slot);
+  for (uint64_t* slot : slots) {
+    Pte entry = LoadEntry(slot);
     ODF_DCHECK(entry.IsPresent() && entry.frame() == frame);
     allocator.IncRef(replacement);
-    if (ctx.rmap != nullptr) {
-      ctx.rmap->Remove(frame, location.slot);
-    }
-    StoreEntry(location.slot, entry.WithFrame(replacement));
-    if (ctx.rmap != nullptr) {
-      ctx.rmap->Add(replacement, location.slot);
-    }
+    StoreEntry(slot, entry.WithFrame(replacement));
     allocator.DecRef(holder);
   }
   if (cache_refs > 0) {
@@ -318,7 +290,7 @@ MfResult SoftOffline(MfContext& ctx, FrameId frame) {
   allocator.DecRef(holder);        // Drop the pin; the source retires.
   CountVm(VmCounter::k_mf_soft_offline);
   CountVm(VmCounter::k_mf_migrated_pages);
-  ODF_TRACE(mf_soft_offline, 0, frame, locations.size());
+  ODF_TRACE(mf_soft_offline, 0, frame, slots.size());
   return MfResult::kMigrated;
 }
 

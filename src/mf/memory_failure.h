@@ -4,22 +4,22 @@
 // Two entry points, both driven through the Kernel facade under the exclusive MmGate:
 //
 //   HardOffline — the machine-check path (MCE/BUS_MCEERR_AR). The frame's bytes are gone.
-//     Every mapping found through the reverse map is replaced with a non-present poison
-//     marker (Pte::MakeHwPoison), so only processes that later TOUCH the dead address see
-//     FaultResult::kHwPoison — everyone else keeps running. A slot inside a shared
-//     on-demand-fork PTE table is rewritten ONCE for all sharers (§3.6 granularity); a
-//     huge mapping is split first so exactly one 4 KiB subpage is lost. Clean page-cache
-//     frames lose nothing: the contents are relocated to a fresh frame (the "re-read from
-//     disk" analog) and mappers refault.
+//     Every mapping the page-table sweep finds (src/reclaim/rmap.h) is replaced with a
+//     non-present poison marker (Pte::MakeHwPoison), so only processes that later TOUCH
+//     the dead address see FaultResult::kHwPoison — everyone else keeps running. A slot
+//     inside a shared on-demand-fork PTE table is rewritten ONCE for all sharers (§3.6
+//     granularity); a huge mapping is split first so exactly one 4 KiB subpage is lost.
+//     Clean page-cache frames lose nothing: the contents are relocated to a fresh frame
+//     (the "re-read from disk" analog) and mappers refault.
 //
 //   SoftOffline — predictive offline (corrected-error storms). The frame still holds good
 //     data, so it is MIGRATED: a target frame is allocated, the bytes copied, and every
-//     rmap location atomically repointed — zero data loss, transactional (an allocation
+//     mapping atomically repointed — zero data loss, transactional (an allocation
 //     failure or injected fi verdict leaves nothing mutated, mirroring TryFork).
 //
 // Either way the frame ends kPageFlagHwPoison'd and, once its last reference drops, parked
 // on the allocator's quarantine list forever: never re-allocated, never cached, never
-// LRU-resident (VerifyKernel cross-checks the bijection).
+// mapped (VerifyKernel cross-checks the bijection).
 #ifndef ODF_SRC_MF_MEMORY_FAILURE_H_
 #define ODF_SRC_MF_MEMORY_FAILURE_H_
 
@@ -28,7 +28,6 @@
 
 #include "src/fs/mem_fs.h"
 #include "src/mm/address_space.h"
-#include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
 
 // Set by the build (src/mf/CMakeLists.txt); default to compiled-in for out-of-build users.
@@ -58,13 +57,11 @@ struct MfContext {
   FrameAllocator* allocator = nullptr;
   SwapSpace* swap = nullptr;
   MemFilesystem* fs = nullptr;
-  reclaim::RmapRegistry* rmap = nullptr;
-  reclaim::PageLru* lru = nullptr;
+  // The page-table sweep: finds every mapping of the frame, and the live address spaces
+  // the huge-split pass walks.
+  reclaim::Rmap* rmap = nullptr;
   // Coarse shootdown after mappings were rewritten (possibly in shared tables).
   std::function<void()> flush_tlbs;
-  // All live address spaces — the huge-split pass must walk PMD entries, which the
-  // reverse map alone cannot attribute to an owning space.
-  std::function<std::vector<AddressSpace*>()> spaces;
 };
 
 // Both require the caller to hold the MmGate EXCLUSIVELY (no mutator may observe a

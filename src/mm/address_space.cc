@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "src/mm/range_ops.h"
-#include "src/reclaim/mm_gate.h"
-#include "src/reclaim/rmap.h"
+#include "src/pt/mm_gate.h"
 #include "src/replay/recorder.h"
 #include "src/util/log.h"
 
@@ -22,11 +21,9 @@ constexpr Vaddr kGuardGap = kPageSize;
 
 }  // namespace
 
-AddressSpace::AddressSpace(FrameAllocator* allocator, SwapSpace* swap,
-                           reclaim::RmapRegistry* rmap)
+AddressSpace::AddressSpace(FrameAllocator* allocator, SwapSpace* swap)
     : allocator_(allocator),
       swap_(swap),
-      rmap_(rmap),
       walker_(allocator),
       pgd_(AllocPageTable(*allocator)),
       mmap_cursor_(kMmapBase) {}
@@ -42,7 +39,7 @@ void AddressSpace::TearDown() {
   // never the process whose allocation is being serviced). Skipping the gate is what lets
   // the OOM path reap a victim while other threads sit at quota-wait points holding their
   // own AS gates. The MmGate still excludes the shrinker while frames are released.
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   std::vector<std::pair<Vaddr, Vaddr>> ranges;
   ranges.reserve(vmas_.size());
   for (const auto& [start, vma] : vmas_) {
@@ -97,7 +94,7 @@ void AddressSpace::InsertVma(VmArea vma) {
 
 Vaddr AddressSpace::MapAnonymous(uint64_t length, uint32_t prot, bool huge, Vaddr hint) {
   MmLockTable::WriteScope ws(locks_);  // Layout mutation: excludes faulters and readers.
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(length > 0);
   uint64_t granule = huge ? kHugePageSize : kPageSize;
   length = (length + granule - 1) & ~(granule - 1);
@@ -115,7 +112,7 @@ Vaddr AddressSpace::MapAnonymous(uint64_t length, uint32_t prot, bool huge, Vadd
 Vaddr AddressSpace::MapFile(std::shared_ptr<MemFile> file, uint64_t file_offset,
                             uint64_t length, uint32_t prot, bool shared, Vaddr hint) {
   MmLockTable::WriteScope ws(locks_);
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(file != nullptr);
   ODF_CHECK(length > 0);
   ODF_CHECK(file_offset % kPageSize == 0) << "file offset must be page-aligned";
@@ -161,7 +158,7 @@ void AddressSpace::SplitVmaAt(Vaddr va) {
 
 void AddressSpace::Unmap(Vaddr start, uint64_t length) {
   MmLockTable::WriteScope ws(locks_);  // Reentrant: Remap shrinks via Unmap.
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(IsPageAligned(start));
   length = PageAlignUp(length);
   Vaddr end = start + length;
@@ -178,7 +175,7 @@ void AddressSpace::Unmap(Vaddr start, uint64_t length) {
 
 Vaddr AddressSpace::Remap(Vaddr old_start, uint64_t old_length, uint64_t new_length) {
   MmLockTable::WriteScope ws(locks_);
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(IsPageAligned(old_start));
   old_length = PageAlignUp(old_length);
   new_length = PageAlignUp(new_length);
@@ -223,7 +220,7 @@ Vaddr AddressSpace::Remap(Vaddr old_start, uint64_t old_length, uint64_t new_len
 
 void AddressSpace::Protect(Vaddr start, uint64_t length, uint32_t prot) {
   MmLockTable::WriteScope ws(locks_);
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(IsPageAligned(start));
   length = PageAlignUp(length);
   Vaddr end = start + length;
@@ -237,7 +234,7 @@ void AddressSpace::Protect(Vaddr start, uint64_t length, uint32_t prot) {
 
 void AddressSpace::AdviseDontNeed(Vaddr start, uint64_t length) {
   MmLockTable::WriteScope ws(locks_);
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(IsPageAligned(start));
   length = PageAlignUp(length);
   Vaddr end = start + length;
@@ -258,7 +255,7 @@ void AddressSpace::AdviseDontNeed(Vaddr start, uint64_t length) {
 
 void AddressSpace::Mincore(Vaddr start, uint64_t length, std::vector<uint8_t>* out) {
   MmLockTable::ReadScope rs(locks_);  // Pure reader: excludes layout mutators only.
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   ODF_CHECK(IsPageAligned(start));
   length = PageAlignUp(length);
   out->assign(length / kPageSize, 0);
@@ -294,7 +291,7 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
   // gate across the quota-wait inside the batch allocations is sound because neither the
   // shrinker nor the OOM killer ever acquires an address-space gate.
   MmLockTable::WriteScope ws(locks_);
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   if (owner_pid_ == 0) {
     op.Cancel();  // Not reached through a Process: not a schedule entry.
   }
@@ -329,9 +326,6 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
         flags |= kPteWritable;
       }
       StoreEntry(pmd_slot, Pte::Make(head, flags));
-      if (rmap_ != nullptr) {
-        rmap_->Add(head, pmd_slot, /*huge=*/true);
-      }
     }
     return;
   }
@@ -365,9 +359,6 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
       }
       for (size_t k = 0; k < absent; ++k) {
         StoreEntry(slots[k], Pte::Make(frames[k], flags));
-        if (rmap_ != nullptr) {
-          rmap_->Add(frames[k], slots[k]);
-        }
       }
       chunk = chunk_end;
       continue;
@@ -385,9 +376,6 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
         flags |= kPteWritable;
       }
       StoreEntry(slot, Pte::Make(cache_frame, flags));
-      if (rmap_ != nullptr) {
-        rmap_->Add(cache_frame, slot);
-      }
     }
     chunk = chunk_end;
   }

@@ -28,10 +28,6 @@
 
 namespace odf {
 
-namespace reclaim {
-class RmapRegistry;
-}  // namespace reclaim
-
 // Fault counters. Relaxed atomics: concurrent faulters in disjoint shards bump these with
 // no lock in common, and monitoring reads race the bumps by design (util/relaxed_counter.h).
 struct MmStats {
@@ -45,7 +41,6 @@ struct MmStats {
   util::RelaxedCounter pmd_table_cow_faults;  // Shared PMD table copied (kOnDemandHuge, §4).
   util::RelaxedCounter pmd_table_fixups;      // share_count==1: PUD write-enable, no copy.
   util::RelaxedCounter swap_in_faults;        // Pages read back from the swap device.
-  util::RelaxedCounter pages_swapped_out;     // By the clock reclaimer.
   util::RelaxedCounter segv_faults;
   util::RelaxedCounter oom_faults;            // Faults failed with kOom (allocation denied).
   util::RelaxedCounter swap_io_faults;        // Faults failed with kSwapIoError.
@@ -53,11 +48,7 @@ struct MmStats {
 
 class AddressSpace {
  public:
-  // `rmap`, when provided (the Kernel always does), receives every leaf-PTE install and
-  // clear this address space performs, feeding page reclaim (src/reclaim). Standalone
-  // mm-layer tests may pass nullptr: all rmap maintenance is skipped.
-  explicit AddressSpace(FrameAllocator* allocator, SwapSpace* swap = nullptr,
-                        reclaim::RmapRegistry* rmap = nullptr);
+  explicit AddressSpace(FrameAllocator* allocator, SwapSpace* swap = nullptr);
   ~AddressSpace();
 
   AddressSpace(const AddressSpace&) = delete;
@@ -100,6 +91,9 @@ class AddressSpace {
 
   // Unmaps everything (exit teardown). Also called by the destructor.
   void TearDown();
+  // True once TearDown has released the page tables (the PGD included). Set under the
+  // MmGate, so an evictor holding it exclusively can tell a dead space from a live one.
+  bool torn_down() const { return torn_down_; }
 
   // --- Introspection ---
 
@@ -110,7 +104,6 @@ class AddressSpace {
   Walker& walker() { return walker_; }
   FrameAllocator& allocator() { return *allocator_; }
   SwapSpace* swap_space() { return swap_; }
-  reclaim::RmapRegistry* rmap() { return rmap_; }
   MmStats& stats() { return stats_; }
   const MmStats& stats() const { return stats_; }
 
@@ -144,7 +137,6 @@ class AddressSpace {
 
   FrameAllocator* allocator_;
   SwapSpace* swap_;
-  reclaim::RmapRegistry* rmap_;
   Walker walker_;
   FrameId pgd_;
   // locks_ before tlb_: the TLB routes every invalidation's shard-generation bump into the

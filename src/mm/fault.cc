@@ -1,10 +1,9 @@
 #include "src/mm/fault.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/mm/range_ops.h"
-#include "src/reclaim/lru.h"
-#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -32,6 +31,26 @@ FaultResult FaultOom(AddressSpace& as, Vaddr va) {
   CountVm(VmCounter::k_pgfault_oom);
   ODF_TRACE(fault_oom, as.owner_pid(), va);
   return FaultResult::kOom;
+}
+
+// Workingset detection at swap-in (the kernel's shadow entries): consumes the eviction
+// stamp the slot carries and reports whether fewer pages were written out since than the
+// machine holds resident. Such a page was evicted out of its working set; counts
+// pgrefault. Must run before the swap-in drops its slot reference.
+bool IsWorkingsetRefault(AddressSpace& as, SwapSlot slot) {
+  uint64_t distance = as.swap_space()->TakeRefaultDistance(slot);
+  FrameAllocatorStats stats = as.allocator().Stats();
+  // Resident data frames stand in for the size of a perfect LRU; the floor keeps
+  // detection alive when almost nothing is resident.
+  uint64_t resident =
+      stats.allocated_frames - std::min(stats.allocated_frames, stats.page_table_frames);
+  uint64_t horizon = std::max<uint64_t>(resident, 64);
+  if (distance > horizon) {
+    return false;
+  }
+  CountVm(VmCounter::k_pgrefault);
+  ODF_TRACE(workingset_refault, as.owner_pid(), slot, distance);
+  return true;
 }
 
 // Installs the demand-paged mapping for a not-present PTE (anonymous zero page or page-cache
@@ -76,9 +95,6 @@ bool DemandInstall(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     ODF_TRACE(fault_file, as.owner_pid(), va);
   }
   StoreEntry(slot, Pte::Make(frame, flags));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(frame, slot);
-  }
   return true;
 }
 
@@ -123,10 +139,10 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   }
   if (LoadEntry(slot).raw() != entry.raw()) {
     // TryAllocate under a frame limit runs direct reclaim inline, and reclaim may have
-    // evicted this very page through the rmap while we held the pre-allocation snapshot
-    // (frame id, refcount, rmap registration — all stale now). Real kernels hold the page
-    // locked across the copy; we drop the unused frame and re-translate instead: a
-    // swapped-out page takes the swap-in path on the next round of the fault loop.
+    // evicted this very page while we held the pre-allocation snapshot (frame id,
+    // refcount — both stale now). Real kernels hold the page locked across the copy; we
+    // drop the unused frame and re-translate instead: a swapped-out page takes the
+    // swap-in path on the next round of the fault loop.
     allocator.DecRef(copy);
     return true;
   }
@@ -136,14 +152,8 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     std::memcpy(dst, src, kPageSize);
   }
   // else: the source was never materialised (logical zero) — the copy stays lazy-zero.
-  if (as.rmap() != nullptr) {
-    as.rmap()->Remove(frame, slot);
-  }
   StoreEntry(slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                        kPteDirty));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(copy, slot);
-  }
   as.tlb().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
   PutMappedPage(allocator, entry, /*huge=*/false);
   ++as.stats().cow_page_faults;
@@ -170,9 +180,6 @@ bool HugeDemandInstall(AddressSpace& as, VmArea& vma, Vaddr chunk_base, uint64_t
     flags |= kPteWritable;
   }
   StoreEntry(pmd_slot, Pte::Make(head, flags));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(head, pmd_slot, /*huge=*/true);
-  }
   ++as.stats().demand_zero_faults;
   CountVm(VmCounter::k_pgfault_demand_zero);
   ODF_TRACE(fault_demand_zero, as.owner_pid(), chunk_base, /*ns=*/0, /*huge=*/1);
@@ -212,13 +219,6 @@ bool SplitHugeMapping(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
   uint64_t flags = kPtePresent | kPteUser | (entry.flags() & kPteAccessed);
   for (FrameId i = 0; i < kCompoundFrames; ++i) {
     StoreEntry(&entries[i], Pte::Make(head + i, flags));
-    if (as.rmap() != nullptr) {
-      // Tails register under head+i — the frame id exactly as the new PTE stores it.
-      as.rmap()->Add(head + i, &entries[i]);
-    }
-  }
-  if (as.rmap() != nullptr) {
-    as.rmap()->Remove(head, pmd_slot, /*huge=*/true);
   }
   StoreEntry(pmd_slot, Pte::Make(table, kPtePresent | kPteWritable | kPteUser |
                                             (entry.flags() & kPteAccessed)));
@@ -269,14 +269,8 @@ bool HugeCowFault(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
     std::byte* dst = allocator.MaterializeData(copy, /*zero=*/false);
     std::memcpy(dst, src, kHugePageSize);
   }
-  if (as.rmap() != nullptr) {
-    as.rmap()->Remove(head, pmd_slot, /*huge=*/true);
-  }
   StoreEntry(pmd_slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                            kPteDirty | kPteHuge));
-  if (as.rmap() != nullptr) {
-    as.rmap()->Add(copy, pmd_slot, /*huge=*/true);
-  }
   as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
   ++as.stats().cow_huge_faults;
@@ -434,21 +428,17 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
         ++as.stats().swap_io_faults;
         return FaultResult::kSwapIoError;
       }
-      swap->DecRef(entry.swap_slot());
       uint64_t flags = kPtePresent | kPteUser | kPteAccessed;
+      if (IsWorkingsetRefault(as, entry.swap_slot())) {
+        // The page was evicted too recently: it starts active and in the workingset, so
+        // the CLOCK must sweep past it unreferenced twice before it is a candidate again.
+        flags |= kPteActive | kPteWorkingset;
+      }
+      swap->DecRef(entry.swap_slot());
       if (vma->IsWritable()) {
         flags |= kPteWritable;
       }
       StoreEntry(slot, Pte::Make(frame, flags));
-      if (as.rmap() != nullptr) {
-        as.rmap()->Add(frame, slot);
-        reclaim::PageLru* lru = as.rmap()->lru();
-        if (lru != nullptr && lru->NoteRefault(entry.swap_slot())) {
-          // Workingset refault: the page was evicted too recently — start it on the
-          // active list instead of making it walk up from inactive again.
-          lru->Activate(frame);
-        }
-      }
       ++as.stats().swap_in_faults;
       CountVm(VmCounter::k_pgfault_swap_in);
       ODF_TRACE(fault_swap_in, as.owner_pid(), va, entry.swap_slot());

@@ -4,7 +4,7 @@
 #define ODF_SRC_MM_FAULT_H_
 
 #include "src/mm/address_space.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 #include "src/util/thread_annotations.h"
 
 namespace odf {
@@ -67,7 +67,7 @@ enum class DegradeFlavor : uint64_t {
 FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access,
                         FrameId* frame_out = nullptr)
     ODF_REQUIRES_SHARED(as.locks()) ODF_REQUIRES(as.locks().shard_cap)
-        ODF_REQUIRES_SHARED(reclaim::MmGate::Global());
+        ODF_REQUIRES_SHARED(MmGate::Global());
 
 // Splits a present huge PMD mapping into a PTE table of per-4KiB entries onto the same
 // compound's tail frames (write-protected; each page then COWs individually). Used by the
@@ -81,7 +81,7 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access,
 // MmGate — is what the annotation states; the disjunction is enforced at runtime by
 // lockdep and MmGate::ThreadHoldsExclusive() checks.
 bool SplitHugeMapping(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot)
-    ODF_REQUIRES_SHARED(reclaim::MmGate::Global());
+    ODF_REQUIRES_SHARED(MmGate::Global());
 
 }  // namespace odf
 

@@ -7,7 +7,6 @@
 
 #include "src/debug/lockdep.h"
 #include "src/pt/mm_locks.h"
-#include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 #include "src/util/log.h"
@@ -64,10 +63,9 @@ void PutMappedPage(FrameAllocator& allocator, Pte entry, bool huge) {
   allocator.DecRef(ResolveCompoundHead(meta, frame));
 }
 
-void DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap,
-                           reclaim::RmapRegistry* rmap, FrameId table) {
+bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
   if (allocator.DecPtShare(table) != 1) {
-    return;
+    return false;
   }
   // Last reference: release the per-page references this table holds on behalf of all its
   // (former) sharers, then free the table frame itself. Swap entries release their slot.
@@ -80,9 +78,6 @@ void DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap,
     Pte entry = LoadEntry(&entries[i]);
     if (entry.IsPresent()) {
       FrameId frame = entry.frame();
-      if (rmap != nullptr) {
-        rmap->Remove(frame, &entries[i]);
-      }
       heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
       StoreEntry(&entries[i], Pte());
     } else if (entry.IsSwap()) {
@@ -104,12 +99,12 @@ void DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap,
   // may still be reading its (now empty) entries: defer the frame free past the grace
   // period. The caller drains the epoch before its leak checks can observe the deferral.
   PtEpoch::Global().Retire(&allocator, table);
+  return true;
 }
 
-void DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap,
-                           reclaim::RmapRegistry* rmap, FrameId table) {
+bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
   if (allocator.DecPtShare(table) != 1) {
-    return;
+    return false;
   }
   // Last reference: release whatever the PMD table maps — huge pages directly (batched),
   // PTE tables transitively (each of which batch-puts its own pages at zero).
@@ -123,12 +118,9 @@ void DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap,
     }
     if (entry.IsHuge()) {
       ODF_DCHECK(allocator.GetMeta(entry.frame()).IsCompoundHead());
-      if (rmap != nullptr) {
-        rmap->Remove(entry.frame(), &entries[i], /*huge=*/true);
-      }
       huge_heads[huge_count++] = entry.frame();
     } else {
-      DropPteTableReference(allocator, swap, rmap, entry.frame());
+      DropPteTableReference(allocator, swap, entry.frame());
     }
     StoreEntry(&entries[i], Pte());
   }
@@ -137,6 +129,7 @@ void DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap,
   // odf-lint: allow(gen-before-free)
   allocator.DecRefBatch(std::span<const FrameId>(huge_heads.data(), huge_count));
   PtEpoch::Global().Retire(&allocator, table);  // Published table: epoch-deferred free.
+  return true;
 }
 
 FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_slot,
@@ -150,7 +143,7 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
 
   // Allocate the private table BEFORE taking the split lock: a NOFAIL allocation may block
   // in direct reclaim (which takes the MmGate exclusively), and no lock may be held at a
-  // quota-wait point (src/reclaim/mm_gate.h). The fixup path below frees the spare.
+  // quota-wait point (src/pt/mm_gate.h). The fixup path below frees the spare.
   FrameId dedicated = policy == AllocPolicy::kTry ? TryAllocPageTable(allocator)
                                                   : AllocPageTable(allocator);
   if (dedicated == kInvalidFrame) {
@@ -221,18 +214,14 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
       entry = protected_entry;
     }
     StoreEntry(&dst[i], entry);
-    if (entry.IsHuge() && as.rmap() != nullptr) {
-      // The copied PMD leaf is a brand-new mapping of the huge page (matching the IncRef
-      // above); PTE-table pointers are not leaves and add no reverse-map entries.
-      as.rmap()->Add(entry.frame(), &dst[i], /*huge=*/true);
-    }
   }
   StoreEntry(pud_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pud.flags() & kPteAccessed)));
-  uint32_t previous = allocator.DecPtShare(shared);
-  ODF_DCHECK(previous >= 2);
-  (void)previous;
   as.tlb().InvalidateRange(pud_span_base, span_end);
+  // As in DedicatePteTable: a sharer exiting meanwhile may have left ours the last share.
+  if (DropPmdTableReference(allocator, as.swap_space(), shared)) {
+    PtEpoch::Global().Drain();
+  }
   ++as.stats().pmd_table_cow_faults;
   CountVm(VmCounter::k_pmd_table_cow);
   if (tracing) {
@@ -349,21 +338,19 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
       entry = protected_entry;
     }
     StoreEntry(&dst[i], entry);
-    if (as.rmap() != nullptr) {
-      // Each copied PTE is a new mapping of the page, mirroring the IncRef above. The
-      // reverse map keys by the frame id AS STORED in the entry (a split-huge tail
-      // registers under head+i), so entry.frame() is correct even for compound frames.
-      as.rmap()->Add(entry.frame(), &dst[i]);
-    }
   }
   // Repoint this address space's PMD entry at the private copy, restoring write permission
   // at the PMD level, and drop our reference to the shared table.
   StoreEntry(pmd_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pmd.flags() & kPteAccessed)));
-  uint32_t previous = allocator.DecPtShare(shared);
-  ODF_DCHECK(previous >= 2);
-  (void)previous;
   as.tlb().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
+  // The share count was >= 2 under the split lock, but an exiting sharer drops its share
+  // without that lock (ZapRange), so ours may be the last one by now: drop it the full
+  // way, or the shared table and the page references it holds would leak. Like a zap,
+  // settle the deferred table free before returning.
+  if (DropPteTableReference(allocator, as.swap_space(), shared)) {
+    PtEpoch::Global().Drain();
+  }
   ++as.stats().pte_table_cow_faults;
   CountVm(VmCounter::k_pte_table_cow);
   if (tracing) {
@@ -422,7 +409,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
           // that this drop frees).
           StoreEntry(pud_slot, Pte());
           as.tlb().InvalidateRange(pud_base, pud_end);
-          DropPmdTableReference(allocator, as.swap_space(), as.rmap(), pud.frame());
+          DropPmdTableReference(allocator, as.swap_space(), pud.frame());
           // Skip the rest of this PUD span (the loop increment adds one chunk).
           chunk_base = std::min(pud_end, end) - kPteTableSpan;
           continue;
@@ -444,9 +431,6 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       // Huge mappings are unmapped at 2 MiB granularity (enforced by AddressSpace::Unmap).
       ODF_CHECK(lo == chunk_base && hi == chunk_end)
           << "partial unmap of a huge mapping is not supported";
-      if (as.rmap() != nullptr) {
-        as.rmap()->Remove(pmd.frame(), pmd_slot, /*huge=*/true);
-      }
       StoreEntry(pmd_slot, Pte());
       as.tlb().InvalidateRange(lo, hi);  // Gen-before-free.
       PutMappedPage(allocator, pmd, /*huge=*/true);
@@ -466,7 +450,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       if (!remainder_live) {
         StoreEntry(pmd_slot, Pte());
         as.tlb().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
-        DropPteTableReference(allocator, as.swap_space(), as.rmap(), table);
+        DropPteTableReference(allocator, as.swap_space(), table);
         continue;
       }
       table = DedicatePteTable(as, chunk_base, pmd_slot);
@@ -476,7 +460,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       StoreEntry(pmd_slot, Pte());
       as.tlb().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
       // Last ref: puts every mapped page and swap slot.
-      DropPteTableReference(allocator, as.swap_space(), as.rmap(), table);
+      DropPteTableReference(allocator, as.swap_space(), table);
       continue;
     }
 
@@ -488,9 +472,6 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       Pte entry = LoadEntry(slot);
       if (entry.IsPresent()) {
         FrameId frame = entry.frame();
-        if (as.rmap() != nullptr) {
-          as.rmap()->Remove(frame, slot);
-        }
         heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
         StoreEntry(slot, Pte());
       } else if (entry.IsSwap()) {
@@ -507,7 +488,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
     allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
     if (TableIsEmpty(allocator, table)) {
       StoreEntry(pmd_slot, Pte());
-      DropPteTableReference(allocator, as.swap_space(), as.rmap(), table);
+      DropPteTableReference(allocator, as.swap_space(), table);
     }
   }
   // Epoch-deferred table frees settle before the zap returns: callers (and their leak
@@ -563,9 +544,6 @@ void MovePageRange(AddressSpace& as, Vaddr old_start, Vaddr new_start, uint64_t 
     ODF_DCHECK(!LoadEntry(dst_slot).IsPresent()) << "mremap destination already mapped";
     StoreEntry(dst_slot, entry);
     StoreEntry(src_slot, Pte());
-    if (entry.IsPresent() && as.rmap() != nullptr) {
-      as.rmap()->Move(entry.frame(), src_slot, dst_slot);
-    }
   }
   as.tlb().InvalidateRange(old_start, old_start + length);
   as.tlb().InvalidateRange(new_start, new_start + length);
@@ -623,8 +601,8 @@ void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
 
 namespace {
 
-void FreeTableRecursive(FrameAllocator& allocator, SwapSpace* swap,
-                        reclaim::RmapRegistry* rmap, FrameId table, PtLevel level) {
+void FreeTableRecursive(FrameAllocator& allocator, SwapSpace* swap, FrameId table,
+                        PtLevel level) {
   uint64_t* entries = allocator.TableEntries(table);
   for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
     Pte entry = LoadEntry(&entries[i]);
@@ -634,11 +612,11 @@ void FreeTableRecursive(FrameAllocator& allocator, SwapSpace* swap,
     if (level == PtLevel::kPud) {
       // PMD tables may be shared (§4 extension) or hold leftover leaf state; dropping the
       // reference handles both (the last dropper releases huge pages and PTE tables).
-      DropPmdTableReference(allocator, swap, rmap, entry.frame());
+      DropPmdTableReference(allocator, swap, entry.frame());
       StoreEntry(&entries[i], Pte());
       continue;
     }
-    FreeTableRecursive(allocator, swap, rmap, entry.frame(), NextLevel(level));
+    FreeTableRecursive(allocator, swap, entry.frame(), NextLevel(level));
     StoreEntry(&entries[i], Pte());
   }
   // Published (reachable from the live PGD until a moment ago), so a lock-free walker may
@@ -649,7 +627,7 @@ void FreeTableRecursive(FrameAllocator& allocator, SwapSpace* swap,
 }  // namespace
 
 void FreePageTables(AddressSpace& as) {
-  FreeTableRecursive(as.allocator(), as.swap_space(), as.rmap(), as.pgd(), PtLevel::kPgd);
+  FreeTableRecursive(as.allocator(), as.swap_space(), as.pgd(), PtLevel::kPgd);
   // Leak checks (and standalone-allocator destruction) follow immediately; settle the
   // deferred frees now.
   PtEpoch::Global().Drain();

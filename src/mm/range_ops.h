@@ -23,16 +23,14 @@ util::Mutex& PtSplitLock(FrameId table);
 enum class AllocPolicy { kNoFail, kTry };
 
 // Drops one address-space reference to a PTE table (§3.5). The last dropper releases the
-// page references held on behalf of all sharers (§3.6), retires the table's leaf entries
-// from the reverse map (`rmap` may be nullptr), and frees the table frame.
-void DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap,
-                           reclaim::RmapRegistry* rmap, FrameId table);
+// page references held on behalf of all sharers (§3.6) and retires the table frame
+// (an epoch-deferred free). Returns true when that happened.
+bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table);
 
 // Drops one reference to a PMD table (the §4 huge-page extension: kOnDemandHuge shares PMD
 // tables). The last dropper releases everything the table references — huge compound pages
-// and PTE-table references — and frees the table frame.
-void DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap,
-                           reclaim::RmapRegistry* rmap, FrameId table);
+// and PTE-table references — and retires the table frame. Returns true when that happened.
+bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table);
 
 // Copy-on-write of a shared PMD table for `as` (§4 extension): analogous to
 // DedicatePteTable one level up. The private copy takes a reference on each huge compound

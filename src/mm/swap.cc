@@ -42,6 +42,8 @@ SwapSlot SwapSpace::WriteOut(const std::byte* src) {
   entry.refs = 1;
   ++stats_.slots_in_use;
   ++stats_.writes;
+  entry.written_at = stats_.writes;
+  ++shadows_;
   CountVm(VmCounter::k_swap_writes);
   return slot;
 }
@@ -94,8 +96,31 @@ void SwapSpace::DecRef(SwapSlot slot) {
   if (--slots_[slot].refs == 0) {
     free_slots_.push_back(slot);
     --stats_.slots_in_use;
+    DropShadowLocked(slots_[slot]);  // Unmapped without a refault: nothing to detect.
     // Keep the buffer for recycling; a zeroing WriteOut replaces content anyway.
   }
+}
+
+void SwapSpace::DropShadowLocked(Slot& entry) {
+  if (entry.written_at != 0) {
+    entry.written_at = 0;
+    --shadows_;
+  }
+}
+
+uint64_t SwapSpace::TakeRefaultDistance(SwapSlot slot) {
+  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+  if (slot >= slots_.size() || slots_[slot].written_at == 0) {
+    return UINT64_MAX;
+  }
+  uint64_t distance = stats_.writes - slots_[slot].written_at;
+  DropShadowLocked(slots_[slot]);
+  return distance;
+}
+
+uint64_t SwapSpace::ShadowCount() const {
+  debug::MutexGuard guard(mutex_, g_swap_lock_class);
+  return shadows_;
 }
 
 uint32_t SwapSpace::RefCount(SwapSlot slot) const {

@@ -10,6 +10,11 @@
 // a slot reference; every swap-in or unmap drops one; the slot is recycled at zero. A slot's
 // content is immutable while referenced, which is what makes post-fork COW of swapped pages
 // trivially correct — each process faults in its own private copy.
+//
+// Each slot also carries the workingset shadow of the page written to it (the kernel's
+// shadow entry): the device's write count at eviction time. The swap-in fault consumes it
+// to tell a page evicted out of its working set from a genuinely cold one
+// (docs/reclaim.md "Workingset refaults").
 #ifndef ODF_SRC_MM_SWAP_H_
 #define ODF_SRC_MM_SWAP_H_
 
@@ -44,7 +49,7 @@ class SwapSpace {
 
   // Allocates a slot with refcount 1 and stores the page content. `src` may be null for a
   // logically-zero page (the slot then reads back as zeros without storing a buffer).
-  // NOFAIL: never consults fault injection.
+  // Stamps the slot's workingset shadow. NOFAIL: never consults fault injection.
   SwapSlot WriteOut(const std::byte* src);
 
   // Fallible WriteOut: kInvalidSwapSlot when fault injection (site swap_out) fails the
@@ -62,6 +67,14 @@ class SwapSpace {
   void IncRef(SwapSlot slot);
   void DecRef(SwapSlot slot);
 
+  // Consumes `slot`'s workingset shadow: the number of pages written out since this one
+  // was. UINT64_MAX when the slot carries no shadow (never stamped, or already consumed by
+  // an earlier swap-in of the same slot).
+  uint64_t TakeRefaultDistance(SwapSlot slot);
+
+  // Slots still carrying a shadow (nr_workingset_shadows).
+  uint64_t ShadowCount() const;
+
   uint32_t RefCount(SwapSlot slot) const;
   SwapStats Stats() const;
   bool AllFree() const;
@@ -75,12 +88,16 @@ class SwapSpace {
   struct Slot {
     std::unique_ptr<std::byte[]> data;  // Null == all-zero content.
     uint32_t refs = 0;
+    uint64_t written_at = 0;  // Workingset shadow: writes_ stamp; 0 == none.
   };
+
+  void DropShadowLocked(Slot& entry) ODF_REQUIRES(mutex_);
 
   mutable util::Mutex mutex_;
   std::vector<Slot> slots_ ODF_GUARDED_BY(mutex_);
   std::vector<SwapSlot> free_slots_ ODF_GUARDED_BY(mutex_);
   SwapStats stats_ ODF_GUARDED_BY(mutex_);
+  uint64_t shadows_ ODF_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace odf

@@ -6,7 +6,7 @@
 
 #include "src/debug/lockdep.h"
 #include "src/debug/verify.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 #include "src/reclaim/shrink.h"
 #include "src/replay/recorder.h"
 #include "src/trace/metrics.h"
@@ -25,8 +25,7 @@ debug::LockClass g_table_lock_class("Kernel::table_mutex_");
 
 thread_local Process* Kernel::active_process_ = nullptr;
 
-Kernel::Kernel() : fs_(&allocator_), rmap_(&allocator_) {
-  rmap_.AttachLru(&lru_);
+Kernel::Kernel() : fs_(&allocator_), rmap_(&allocator_, [this] { return LiveSpaces(); }) {
   allocator_.SetReclaimCallback([this](uint64_t want) { return ReclaimMemory(want); });
 }
 
@@ -47,7 +46,6 @@ reclaim::ShrinkContext Kernel::MakeShrinkContext() {
   ctx.allocator = &allocator_;
   ctx.swap = &swap_;
   ctx.rmap = &rmap_;
-  ctx.lru = &lru_;
   // Coarse shootdown: the shrinker rewrote leaf entries (possibly in tables shared across
   // processes), so every TLB is stale. Runs while the caller still holds the MmGate
   // exclusively, before any mutator resumes.
@@ -66,24 +64,30 @@ mf::MfContext Kernel::MakeMfContext() {
   ctx.swap = &swap_;
   ctx.fs = &fs_;
   ctx.rmap = &rmap_;
-  ctx.lru = &lru_;
   ctx.flush_tlbs = [this] {
     debug::MutexGuard guard(table_mutex_, g_table_lock_class);
     for (auto& [pid, process] : processes_) {
       process->address_space().tlb().FlushAll();
     }
   };
-  ctx.spaces = [this] {
-    debug::MutexGuard guard(table_mutex_, g_table_lock_class);
-    std::vector<AddressSpace*> spaces;
-    for (auto& [pid, process] : processes_) {
-      if (process->state() == ProcessState::kRunning) {
-        spaces.push_back(&process->address_space());
-      }
-    }
-    return spaces;
-  };
   return ctx;
+}
+
+reclaim::SpaceList Kernel::LiveSpaces() {
+  debug::MutexGuard guard(table_mutex_, g_table_lock_class);
+  reclaim::SpaceList spaces;
+  for (auto& [pid, process] : processes_) {
+    if (process->state() == ProcessState::kRunning) {
+      // Aliasing pointer: owns the process, points at its address space.
+      spaces.emplace_back(process, &process->address_space());
+    }
+  }
+  for (AddressSpace* as : forming_) {
+    // Non-owning: the forking thread keeps it alive and is parked at a quota wait
+    // whenever an evictor holding the gate can look.
+    spaces.emplace_back(std::shared_ptr<void>(), as);
+  }
+  return spaces;
 }
 
 mf::MfResult Kernel::MemoryFailure(FrameId frame) {
@@ -99,7 +103,7 @@ mf::MfResult Kernel::MemoryFailure(FrameId frame) {
     // Offline rewrites mappings in tables shared across processes and flushes TLBs — the
     // evictor side of the gate, exactly like reclaim (upgrades any shared hold this
     // thread carries, e.g. when the ECC hook fires mid-AccessMemory).
-    reclaim::MmGate::ExclusiveScope gate;
+    MmGate::ExclusiveScope gate;
     mf::MfContext ctx = MakeMfContext();
     result = mf::HardOffline(ctx, frame);
   }
@@ -119,7 +123,7 @@ mf::MfResult Kernel::SoftOfflinePage(FrameId frame) {
   mf::MfResult result;
   {
     debug::MutationScope mutation;
-    reclaim::MmGate::ExclusiveScope gate;
+    MmGate::ExclusiveScope gate;
     mf::MfContext ctx = MakeMfContext();
     result = mf::SoftOffline(ctx, frame);
   }
@@ -166,7 +170,7 @@ uint64_t Kernel::ReclaimMemory(uint64_t want) {
   {
     // Upgrade to the exclusive gate: this thread is typically a mutator mid-operation
     // (its shared hold is released for the duration and restored on exit; see mm_gate.h).
-    reclaim::MmGate::ExclusiveScope gate;
+    MmGate::ExclusiveScope gate;
     reclaim::ShrinkContext ctx = MakeShrinkContext();
     freed = reclaim::ReclaimPages(ctx, want);
   }
@@ -223,7 +227,7 @@ Kernel::~Kernel() {
   // The daemon holds a ShrinkContext referencing this kernel; stop it before teardown.
   StopKswapd();
   debug::MutationScope mutation;
-  reclaim::MmGate::SharedScope gate;
+  MmGate::SharedScope gate;
   // Tear down in pid order; address spaces release their frames as they go.
   debug::MutexGuard guard(table_mutex_, g_table_lock_class);
   processes_.clear();
@@ -232,8 +236,8 @@ Kernel::~Kernel() {
 Process& Kernel::CreateProcess() {
   replay::OpScope op(OpKind::k_create_process, 0);
   debug::MutationScope mutation;
-  reclaim::MmGate::SharedScope gate;  // Mutator: excludes the shrinker (mm_gate.h).
-  auto as = std::make_unique<AddressSpace>(&allocator_, &swap_, &rmap_);
+  MmGate::SharedScope gate;  // Mutator: excludes the shrinker (mm_gate.h).
+  auto as = std::make_unique<AddressSpace>(&allocator_, &swap_);
   debug::MutexGuard guard(table_mutex_, g_table_lock_class);
   Pid pid = next_pid_++;
   auto process = std::make_shared<Process>(this, pid, /*parent=*/0, std::move(as));
@@ -270,26 +274,35 @@ Process* Kernel::TryFork(Process& parent, ForkMode mode, ForkProfile* profile) {
     ActiveProcessScope immune(&parent);  // The parent must survive its own fork's allocations.
     // The child AS is constructed BEFORE any lock: its PGD allocation may quota-wait, and
     // no lock may be held across a quota wait (mm_gate.h rules).
-    auto child_as = std::make_unique<AddressSpace>(&allocator_, &swap_, &rmap_);
+    auto child_as = std::make_unique<AddressSpace>(&allocator_, &swap_);
+    {
+      debug::MutexGuard guard(table_mutex_, g_table_lock_class);
+      forming_.push_back(child_as.get());
+    }
     // Copy under the parent's AS gate held exclusively: fork is a whole-AS structural
     // operation (write-protects entries, bumps share counts) and must not interleave with
     // the parent's faults from other threads. MmGate shared nests inside per the lock
     // order. Quota waits inside the copy are still sound — reclaim never takes an AS gate
     // (the OOM killer's ExitInternal skips the victim's).
     MmLockTable::WriteScope ws(parent.address_space().locks());
-    reclaim::MmGate::SharedScope gate;  // Mutator: excludes the shrinker (mm_gate.h).
+    MmGate::SharedScope gate;  // Mutator: excludes the shrinker (mm_gate.h).
     if (!CopyAddressSpace(parent.address_space(), *child_as, mode, profile, &fork_counters_)) {
       // Transactional rollback: the half-built child holds real references (page refcounts,
       // table share counts, swap-slot refs), all reachable through its own page tables.
       // TearDown clears the VMA list first, so shared tables are dropped whole — never
       // dedicated — making the unwind allocation-free (rollback cannot itself fail).
       child_as->TearDown();
+      {
+        debug::MutexGuard guard(table_mutex_, g_table_lock_class);
+        std::erase(forming_, child_as.get());
+      }
       CountVm(VmCounter::k_fork_rollback);
       ODF_TRACE(fork_rollback, parent.pid(), static_cast<uint64_t>(mode));
       return nullptr;
     }
 
     debug::MutexGuard guard(table_mutex_, g_table_lock_class);
+    std::erase(forming_, child_as.get());
     Pid pid = next_pid_++;
     auto child = std::make_shared<Process>(this, pid, parent.pid(), std::move(child_as));
     child->fork_mode_ = parent.fork_mode();

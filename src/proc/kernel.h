@@ -24,7 +24,6 @@
 #include "src/phys/frame_allocator.h"
 #include "src/proc/process.h"
 #include "src/reclaim/kswapd.h"
-#include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -88,7 +87,7 @@ class Kernel {
   // killer. 0 removes the limit.
   void SetMemoryLimitFrames(uint64_t frames);
 
-  // Direct reclaim: shrinks the LRU lists via reverse-map unmapping (src/reclaim); falls
+  // Direct reclaim: runs the CLOCK shrinker over the page-table sweep (src/reclaim); falls
   // back to killing the largest process when nothing is reclaimable. Returns frames freed
   // (0 => hard OOM). Runs as the allocator's reclaim callback from any allocating thread.
   uint64_t ReclaimMemory(uint64_t want);
@@ -98,8 +97,8 @@ class Kernel {
   void StartKswapd();
   void StopKswapd();
 
-  reclaim::RmapRegistry& rmap() { return rmap_; }
-  reclaim::PageLru& lru() { return lru_; }
+  // The page-table reverse map: reclaim's CLOCK hand and the mapping queries.
+  reclaim::Rmap& rmap() { return rmap_; }
   reclaim::Kswapd* kswapd() { return kswapd_.get(); }
 
   // --- Memory failure (src/mf, docs/memory-failure.md) ---
@@ -157,17 +156,18 @@ class Kernel {
   // Builds the ShrinkContext handed to kswapd and direct reclaim (flush-all-TLBs closure).
   reclaim::ShrinkContext MakeShrinkContext();
 
-  // Builds the context handed to the src/mf offline paths (adds the address-space list
-  // the huge-split pass walks).
+  // Builds the context handed to the src/mf offline paths.
   mf::MfContext MakeMfContext();
+
+  // The address spaces the reclaim sweep covers: every running process's, plus the
+  // children of forks still being copied (their entries hold real page references, and
+  // an offline must find them).
+  reclaim::SpaceList LiveSpaces();
 
   FrameAllocator allocator_;
   SwapSpace swap_;
   MemFilesystem fs_;
-  // Reclaim state is declared before processes_ so it outlives process teardown (address
-  // spaces unregister their rmap entries as they die).
-  reclaim::RmapRegistry rmap_;
-  reclaim::PageLru lru_;
+  reclaim::Rmap rmap_;
   std::unique_ptr<reclaim::Kswapd> kswapd_;
   // Atomic: the OOM killer can run from any thread's allocation (reclaim callback) while
   // another thread reads the count.
@@ -178,6 +178,8 @@ class Kernel {
   // shared_ptr so RunningProcesses() snapshots keep their entries alive against Wait().
   std::map<Pid, std::shared_ptr<Process>> processes_ ODF_GUARDED_BY(table_mutex_);
   Pid next_pid_ ODF_GUARDED_BY(table_mutex_) = 1;
+  // Child address spaces of forks in progress (not yet in processes_).
+  std::vector<AddressSpace*> forming_ ODF_GUARDED_BY(table_mutex_);
   ForkMode default_fork_mode_ = ForkMode::kClassic;
   ForkCounters fork_counters_;
 };

@@ -8,7 +8,7 @@
 #include "src/debug/verify.h"
 #include "src/fi/fault_inject.h"
 #include "src/pt/mm_locks.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 #include "src/replay/recorder.h"
 #include "src/util/log.h"
 
@@ -84,7 +84,7 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     TransCacheEntry& cached = TranslationCache::SlotFor(as_id, vpn);
     if (cached.as_id == as_id && cached.vpn == vpn && (!want_write || cached.write_ok) &&
         cached.gen == locks.ShardGen(current)) {
-      reclaim::MmGate::SharedScope gate;
+      MmGate::SharedScope gate;
       if (allocator.TryGetRef(cached.pin)) {
         // Pin-then-recheck: the pin is speculative (the frame may have been freed and
         // reused since the probe), and the generation recheck is what rejects that — any
@@ -133,7 +133,7 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
             t.huge ? t.frame - static_cast<FrameId>((current >> kPageShift) &
                                                     ((1ULL << kHugePageOrder) - 1))
                    : t.frame;
-        reclaim::MmGate::SharedScope gate;
+        MmGate::SharedScope gate;
         if (allocator.TryGetRef(pin)) {
           if (locks.ShardGen(current) == g0) {
             as.tlb().RecordHit();
@@ -163,7 +163,7 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     {
       MmLockTable::ReadScope rs(locks);
       MmLockTable::ShardScope shard(locks, current);
-      reclaim::MmGate::SharedScope gate;
+      MmGate::SharedScope gate;
       FrameId frame = kInvalidFrame;
       if (!as.tlb().Lookup(current, want_write, &frame)) {
         Translation t = as.walker().Translate(as.pgd(), current, access);

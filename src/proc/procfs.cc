@@ -221,13 +221,14 @@ std::string FormatVmstat(Kernel& kernel) {
   out << "nr_processes " << kernel.ProcessCount() << "\n";
   out << "nr_processes_running " << kernel.RunningProcessCount() << "\n";
   out << "nr_oom_kills " << kernel.oom_kills() << "\n";
-  // Reclaim gauges (docs/reclaim.md): LRU list sizes, rmap totals, kswapd state.
+  // Reclaim gauges (docs/reclaim.md): one sweep's CLOCK state and mapping totals, kswapd.
+  reclaim::RmapCensus census = kernel.rmap().Census();
   out << "nr_free_frames " << kernel.allocator().FreeFrames() << "\n";
-  out << "nr_active_anon " << kernel.lru().ActiveSize() << "\n";
-  out << "nr_inactive_anon " << kernel.lru().InactiveSize() << "\n";
-  out << "nr_workingset_shadows " << kernel.lru().ShadowCount() << "\n";
-  out << "nr_rmap_frames " << kernel.rmap().MappedFrames() << "\n";
-  out << "nr_rmap_locations " << kernel.rmap().TotalLocations() << "\n";
+  out << "nr_active_anon " << census.active_anon << "\n";
+  out << "nr_inactive_anon " << census.inactive_anon << "\n";
+  out << "nr_workingset_shadows " << kernel.swap_space().ShadowCount() << "\n";
+  out << "nr_rmap_frames " << census.frames << "\n";
+  out << "nr_rmap_locations " << census.locations << "\n";
   out << "kswapd_running " << (kernel.kswapd() != nullptr && kernel.kswapd()->Running() ? 1 : 0)
       << "\n";
   return out.str();
@@ -248,8 +249,9 @@ std::string FormatMeminfo(Kernel& kernel) {
   out << "MemTotal:       " << kib(total) << " kB\n";
   out << "MemFree:        " << kib(free == UINT64_MAX ? total - frames.allocated_frames : free)
       << " kB\n";
-  out << "Active(anon):   " << kib(kernel.lru().ActiveSize()) << " kB\n";
-  out << "Inactive(anon): " << kib(kernel.lru().InactiveSize()) << " kB\n";
+  reclaim::RmapCensus census = kernel.rmap().Census();
+  out << "Active(anon):   " << kib(census.active_anon) << " kB\n";
+  out << "Inactive(anon): " << kib(census.inactive_anon) << " kB\n";
   out << "PageTables:     " << kib(frames.page_table_frames) << " kB\n";
   out << "HardwareCorrupted: " << kib(frames.hwpoisoned_frames) << " kB\n";
   out << "SwapTotal:      " << kib(swap.total_slots) << " kB\n";

@@ -1,10 +1,9 @@
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 
 #include "src/debug/debug.h"
 #include "src/pt/mm_locks.h"
 
 namespace odf {
-namespace reclaim {
 
 thread_local int MmGate::tls_shared_depth_ = 0;
 thread_local int MmGate::tls_exclusive_depth_ = 0;
@@ -72,5 +71,4 @@ MmGate::ExclusiveScope::~ExclusiveScope() {
   }
 }
 
-}  // namespace reclaim
 }  // namespace odf

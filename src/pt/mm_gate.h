@@ -8,7 +8,11 @@
 // same way try_to_unmap relies on the rmap locks plus TLB shootdown IPIs: mutators hold
 // the gate SHARED for the duration of one memory operation, the evictor takes it
 // EXCLUSIVE, so an eviction batch observes quiescent page tables and can flush TLBs
-// before any mutator runs again.
+// before any mutator runs again. The same quiescence is what lets the reclaim sweep
+// (src/reclaim/rmap.h) read every address space's page tables as the reverse map.
+//
+// It lives in the page-table layer because every mutator in mm takes it; the evictors
+// that take it exclusively (src/reclaim, src/mf, the verifier) sit above.
 //
 // Rules (lock order: debug::MutationScope -> per-AS gate -> shard mutex -> MmGate ->
 // Kernel::table_mutex_ -> the rest; see the table in docs/debugging.md):
@@ -16,7 +20,8 @@
 //     SharedScope — INSIDE any per-AS gate or shard lock they hold, never outside.
 //     Shared holds are reentrant per thread and no-ops while the thread holds the gate
 //     exclusively (the OOM killer calls Kernel::Exit from inside an eviction).
-//   - Eviction (kswapd balance rounds, direct reclaim, VerifyKernel) takes
+//   - Eviction (kswapd balance rounds, direct reclaim, memory failure, VerifyKernel,
+//     the reverse-map queries) takes
 //     ExclusiveScope. ExclusiveScope UPGRADES: it releases the calling thread's shared
 //     holds first and restores them afterwards, so a mutator blocked at the allocation
 //     quota can run direct reclaim without deadlocking against its own shared hold.
@@ -25,18 +30,17 @@
 //     needed by the eviction that must run to unblock it. DedicatePteTable /
 //     DedicatePmdTable (range_ops.cc) and MemFile::GetPage (mem_fs.cc) pre-allocate
 //     outside their locks for exactly this reason.
-#ifndef ODF_SRC_RECLAIM_MM_GATE_H_
-#define ODF_SRC_RECLAIM_MM_GATE_H_
+#ifndef ODF_SRC_PT_MM_GATE_H_
+#define ODF_SRC_PT_MM_GATE_H_
 
 #include "src/util/bravo_gate.h"
 #include "src/util/thread_annotations.h"
 
 namespace odf {
-namespace reclaim {
 
 // Capability "mm_gate", always named MmGate::Global() in attribute expressions:
 // SharedScope/ExclusiveScope carry the acquire/release contracts, and evictor-only
-// machinery (rmap::Snapshot, LRU eviction walks) declares ODF_REQUIRES(Global()) so a
+// machinery (the reclaim sweep and its CLOCK hand) declares ODF_REQUIRES(Global()) so a
 // call without an exclusive scope in sight is a compile error. The reentrant/upgrade
 // protocol lives in TLS + the unannotated BravoGate underneath, and is cross-function
 // (the nested scope is opened in a callee), so the intraprocedural analysis never sees
@@ -91,7 +95,6 @@ class ODF_CAPABILITY("mm_gate") MmGate {
   static thread_local util::BravoGate::ReadToken tls_token_;
 };
 
-}  // namespace reclaim
 }  // namespace odf
 
-#endif  // ODF_SRC_RECLAIM_MM_GATE_H_
+#endif  // ODF_SRC_PT_MM_GATE_H_

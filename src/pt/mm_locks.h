@@ -20,7 +20,7 @@
 //                 frame's refcount, recheck the generation, copy.
 //
 // Lock order (documented in docs/debugging.md): MutationScope -> AS gate -> shard mutex
-// (fault path only, exactly one) -> reclaim::MmGate shared -> split locks / rmap /
+// (fault path only, exactly one) -> MmGate shared -> split locks / rmap /
 // allocator / LRU. The generation protocol's one load-bearing invariant: a mutator bumps
 // the covered shard generation AFTER rewriting entries and BEFORE dropping the frame
 // references those entries held ("gen before free"), so a reader whose pin precedes its

@@ -18,6 +18,7 @@ namespace odf {
 //   bit 5  accessed      — set by the "CPU" (walker) on translation
 //   bit 6  dirty         — set by the walker on write translation
 //   bit 7  huge (PS)     — on PMD entries: entry maps a 2 MiB compound page directly
+//   bits 8, 11           — software CLOCK state of present entries (workingset, active)
 //   bits 12..43 frame id (we use dense FrameIds rather than physical addresses)
 enum PteBit : uint64_t {
   kPtePresent = 1ULL << 0,
@@ -26,6 +27,10 @@ enum PteBit : uint64_t {
   kPteAccessed = 1ULL << 5,
   kPteDirty = 1ULL << 6,
   kPteHuge = 1ULL << 7,
+  // Software bit (present=1, ignored by the walker): the PG_workingset analog. Set with
+  // kPteActive when a swap-in is a workingset refault; the CLOCK spends one extra sweep
+  // clearing it before it deactivates the page (src/reclaim/shrink.h).
+  kPteWorkingset = 1ULL << 8,
   // Software bit (ignored by the "hardware" walker because present=0): the entry is a swap
   // entry; the frame field holds the swap-slot id instead of a frame id.
   kPteSwap = 1ULL << 9,
@@ -34,6 +39,10 @@ enum PteBit : uint64_t {
   // reference on it — the quarantine pin is the allocator's (src/mf, docs/memory-failure.md).
   // Any access faults with FaultResult::kHwPoison (the SIGBUS analog).
   kPteHwPoison = 1ULL << 10,
+  // Software bit (present=1, ignored by the walker): the PG_active analog of the reclaim
+  // CLOCK (src/reclaim/shrink.h). CLOCK state lives in the entries because the page
+  // tables are the reverse map: the sweep that ages a frame updates all its slots at once.
+  kPteActive = 1ULL << 11,
 };
 
 inline constexpr uint64_t kPteFrameShift = 12;
@@ -55,6 +64,7 @@ class Pte {
   constexpr bool IsAccessed() const { return (raw_ & kPteAccessed) != 0; }
   constexpr bool IsDirty() const { return (raw_ & kPteDirty) != 0; }
   constexpr bool IsHuge() const { return (raw_ & kPteHuge) != 0; }
+  constexpr bool IsActive() const { return IsPresent() && (raw_ & kPteActive) != 0; }
   constexpr bool IsSwap() const { return !IsPresent() && (raw_ & kPteSwap) != 0; }
   constexpr bool IsHwPoison() const { return !IsPresent() && (raw_ & kPteHwPoison) != 0; }
   constexpr bool IsNone() const { return raw_ == 0; }
@@ -123,14 +133,14 @@ inline Pte SetEntryFlags(uint64_t* slot, uint64_t flags) {
   return Pte(previous | flags);
 }
 
-// Accessed-bit harvest for page aging (the test-and-clear of PTE.A that second-chance /
-// LRU scanning is built on). Atomic against the walker re-setting the bit concurrently;
-// returns true when the bit was set. Clearing A on a present entry is NOT a structural
-// mutation — sharers at worst take a spurious TLB-miss re-walk.
-inline bool TestAndClearAccessed(uint64_t* slot) {
-  uint64_t previous = std::atomic_ref<uint64_t>(*slot).fetch_and(
-      ~static_cast<uint64_t>(kPteAccessed), std::memory_order_relaxed);
-  return (previous & kPteAccessed) != 0;
+// Flag harvest for page aging (the test-and-clear of PTE.A that CLOCK scanning is built
+// on, and of the kPteActive software bit). Atomic against the walker re-setting A
+// concurrently; returns true when any of `flags` was set. Clearing A on a present entry
+// is NOT a structural mutation — sharers at worst take a spurious TLB-miss re-walk.
+inline bool TestAndClearFlags(uint64_t* slot, uint64_t flags) {
+  uint64_t previous =
+      std::atomic_ref<uint64_t>(*slot).fetch_and(~flags, std::memory_order_relaxed);
+  return (previous & flags) != 0;
 }
 
 }  // namespace odf

@@ -2,7 +2,7 @@
 
 #include "src/debug/debug.h"
 #include "src/debug/mutation.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 

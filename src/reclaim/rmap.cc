@@ -1,187 +1,111 @@
 #include "src/reclaim/rmap.h"
 
 #include <algorithm>
+#include <unordered_map>
 
-#include "src/debug/debug.h"
-#include "src/debug/lockdep.h"
-#include "src/fi/fault_inject.h"
-#include "src/reclaim/lru.h"
 
 namespace odf {
 namespace reclaim {
 
-namespace {
-
-// All shards share one class, like lockdep keying lock instances by type. Shard locks are
-// taken before the LRU lock (Add/Remove drive list membership while holding the shard).
-debug::LockClass g_rmap_shard_lock_class("RmapRegistry::Shard::mu");
-
-}  // namespace
-
-struct RmapRegistry::Shard {
-  mutable util::Mutex mu;
-  std::unordered_map<FrameId, FrameEntry> frames ODF_GUARDED_BY(mu);
-};
-
-RmapRegistry::RmapRegistry(FrameAllocator* allocator)
-    : allocator_(allocator), shards_(new Shard[kShards]) {}
-
-RmapRegistry::~RmapRegistry() = default;
-
-void RmapRegistry::AttachLru(PageLru* lru) { lru_ = lru; }
-
-RmapRegistry::Shard& RmapRegistry::ShardFor(FrameId frame) const {
-  return shards_[frame % kShards];
-}
-
-bool RmapRegistry::LruEligible(FrameId frame, bool huge) const {
-  if (huge) {
-    return false;  // Huge mappings are evicted only after a split (not implemented).
-  }
-  const PageMeta& meta = allocator_->GetMeta(frame);
-  // Only order-0 private anonymous frames age on the LRU: file pages belong to the page
-  // cache (refcount includes a cache reference, so the evictability test never passes for
-  // them anyway) and compound frames cannot be freed one PTE at a time.
-  return (meta.flags & kPageFlagAnon) != 0 && !meta.IsCompound() && !meta.IsPageTable();
-}
-
-void RmapRegistry::Add(FrameId frame, uint64_t* slot, bool huge) {
-  // The allocation-failure analog: rmap metadata could not be allocated, so this frame's
-  // reverse map is incomplete — mark it unreclaimable. Consulted outside the shard lock
-  // (the injector takes its own).
-  bool unstable = fi::ShouldInject(FiSite::k_rmap_alloc);
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  FrameEntry& entry = shard.frames[frame];
-  ODF_DCHECK(std::none_of(entry.locations.begin(), entry.locations.end(),
-                          [&](const RmapLocation& l) { return l.slot == slot; }))
-      << "duplicate rmap location for frame " << frame;
-  entry.locations.push_back(RmapLocation{slot, huge});
-  if (unstable) {
-    entry.unstable = true;
-  }
-  if (entry.locations.size() == 1 && lru_ != nullptr && LruEligible(frame, huge)) {
-    lru_->Insert(frame, /*active=*/false);
-  }
-}
-
-void RmapRegistry::Remove(FrameId frame, uint64_t* slot, bool huge) {
-  (void)huge;
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  ODF_DCHECK(it != shard.frames.end()) << "rmap remove of untracked frame " << frame;
-  if (it == shard.frames.end()) {
-    return;
-  }
-  std::vector<RmapLocation>& locations = it->second.locations;
-  auto loc = std::find_if(locations.begin(), locations.end(),
-                          [&](const RmapLocation& l) { return l.slot == slot; });
-  ODF_DCHECK(loc != locations.end())
-      << "rmap remove of unregistered slot for frame " << frame;
-  if (loc == locations.end()) {
-    return;
-  }
-  *loc = locations.back();
-  locations.pop_back();
-  if (locations.empty()) {
-    shard.frames.erase(it);
-    if (lru_ != nullptr) {
-      lru_->Erase(frame);
+ChunkSweep::ChunkSweep(FrameAllocator& allocator, const SpaceList& spaces)
+    : allocator_(allocator) {
+  // PMD tables shared between spaces (kOnDemandHuge) are walked once.
+  std::vector<FrameId> pmd_tables;
+  for (const std::shared_ptr<AddressSpace>& as : spaces) {
+    if (as->torn_down()) {
+      continue;  // Exit released the tables; the process is not reaped yet.
+    }
+    uint64_t* pgd = allocator.TableEntries(as->pgd());
+    for (uint64_t g = 0; g < kEntriesPerTable; ++g) {
+      Pte pud_link = LoadEntry(&pgd[g]);
+      if (!pud_link.IsPresent()) {
+        continue;
+      }
+      uint64_t* pud = allocator.TableEntries(pud_link.frame());
+      for (uint64_t u = 0; u < kEntriesPerTable; ++u) {
+        Pte pmd_link = LoadEntry(&pud[u]);
+        if (!pmd_link.IsPresent() ||
+            std::find(pmd_tables.begin(), pmd_tables.end(), pmd_link.frame()) !=
+                pmd_tables.end()) {
+          continue;
+        }
+        pmd_tables.push_back(pmd_link.frame());
+        uint64_t* pmd = allocator.TableEntries(pmd_link.frame());
+        Vaddr base = (g << EntryShift(PtLevel::kPgd)) | (u << EntryShift(PtLevel::kPud));
+        for (uint64_t m = 0; m < kEntriesPerTable; ++m) {
+          if (LoadEntry(&pmd[m]).IsPresent()) {
+            refs_.push_back(PmdRef{base | (m << EntryShift(PtLevel::kPmd)), &pmd[m]});
+          }
+        }
+      }
     }
   }
-}
-
-void RmapRegistry::RemoveAll(FrameId frame) {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  if (shard.frames.erase(frame) > 0 && lru_ != nullptr) {
-    lru_->Erase(frame);
-  }
-}
-
-void RmapRegistry::Move(FrameId frame, uint64_t* from, uint64_t* to) {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  ODF_DCHECK(it != shard.frames.end()) << "rmap move of untracked frame " << frame;
-  if (it == shard.frames.end()) {
-    return;
-  }
-  for (RmapLocation& location : it->second.locations) {
-    if (location.slot == from) {
-      location.slot = to;
-      return;
+  std::stable_sort(refs_.begin(), refs_.end(),
+                   [](const PmdRef& a, const PmdRef& b) { return a.chunk < b.chunk; });
+  for (size_t i = 0; i < refs_.size(); ++i) {
+    if (i == 0 || refs_[i].chunk != refs_[i - 1].chunk) {
+      starts_.push_back(i);
     }
   }
-  ODF_DCHECK(false) << "rmap move of unregistered slot for frame " << frame;
+  starts_.push_back(refs_.size());
 }
 
-size_t RmapRegistry::LocationCount(FrameId frame) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  return it == shard.frames.end() ? 0 : it->second.locations.size();
-}
-
-bool RmapRegistry::Contains(FrameId frame, const uint64_t* slot, bool huge) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  if (it == shard.frames.end()) {
-    return false;
-  }
-  return std::any_of(it->second.locations.begin(), it->second.locations.end(),
-                     [&](const RmapLocation& l) { return l.slot == slot && l.huge == huge; });
-}
-
-bool RmapRegistry::IsUnstable(FrameId frame) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  return it != shard.frames.end() && it->second.unstable;
-}
-
-void RmapRegistry::Snapshot(FrameId frame, std::vector<RmapLocation>* out) const {
-  Shard& shard = ShardFor(frame);
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  auto it = shard.frames.find(frame);
-  if (it == shard.frames.end()) {
-    return;
-  }
-  out->insert(out->end(), it->second.locations.begin(), it->second.locations.end());
-}
-
-uint64_t RmapRegistry::TotalLocations() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < kShards; ++i) {
-    debug::MutexGuard guard(shards_[i].mu, g_rmap_shard_lock_class);
-    for (const auto& [frame, entry] : shards_[i].frames) {
-      total += entry.locations.size();
+size_t ChunkSweep::StepAtOrAfter(Vaddr va) const {
+  for (size_t step = 0; step < size(); ++step) {
+    if (chunk(step) >= va) {
+      return step;
     }
   }
-  return total;
+  return 0;
 }
 
-uint64_t RmapRegistry::MappedFrames() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < kShards; ++i) {
-    debug::MutexGuard guard(shards_[i].mu, g_rmap_shard_lock_class);
-    total += shards_[i].frames.size();
-  }
-  return total;
+void ChunkSweep::Gather(size_t step, std::vector<Mapping>* out) const {
+  out->clear();
+  ForEachLeaf(step, [out](const Mapping& mapping) { out->push_back(mapping); });
+  std::sort(out->begin(), out->end(), [](const Mapping& a, const Mapping& b) {
+    return a.frame != b.frame ? a.frame < b.frame : a.slot < b.slot;
+  });
 }
 
-void RmapRegistry::ForEachLocationInShard(
-    size_t shard_index,
-    const std::function<void(FrameId, const uint64_t*, bool)>& fn) const {
-  Shard& shard = shards_[shard_index];
-  debug::MutexGuard guard(shard.mu, g_rmap_shard_lock_class);
-  for (const auto& [frame, entry] : shard.frames) {
-    for (const RmapLocation& location : entry.locations) {
-      fn(frame, location.slot, location.huge);
+Rmap::Rmap(FrameAllocator* allocator, std::function<SpaceList()> spaces)
+    : allocator_(allocator), spaces_(std::move(spaces)) {}
+
+void Rmap::CollectSlots(FrameId frame, std::vector<uint64_t*>* out) {
+  ForEachMapping([&](const Mapping& mapping) {
+    if (mapping.frame == frame && !mapping.huge) {
+      out->push_back(mapping.slot);
     }
+  });
+}
+
+uint64_t Rmap::TotalLocations() { return Census().locations; }
+
+size_t Rmap::LocationCount(FrameId frame) {
+  MmGate::ExclusiveScope gate;
+  size_t count = 0;
+  ForEachMapping([&](const Mapping& mapping) { count += mapping.frame == frame ? 1 : 0; });
+  return count;
+}
+
+RmapCensus Rmap::Census() {
+  MmGate::ExclusiveScope gate;
+  RmapCensus census;
+  // frame -> active; only order-0 anonymous frames age on the CLOCK.
+  std::unordered_map<FrameId, bool> frames;
+  ForEachMapping([&](const Mapping& mapping) {
+    ++census.locations;
+    bool& active = frames[mapping.frame];
+    active = active || LoadEntry(mapping.slot).IsActive();
+  });
+  census.frames = frames.size();
+  for (const auto& [frame, active] : frames) {
+    const PageMeta& meta = allocator_->GetMeta(frame);
+    if ((meta.flags & kPageFlagAnon) == 0 || meta.IsCompound()) {
+      continue;
+    }
+    ++(active ? census.active_anon : census.inactive_anon);
   }
+  return census;
 }
 
 }  // namespace reclaim

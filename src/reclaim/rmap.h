@@ -1,120 +1,155 @@
-// RmapRegistry — per-frame reverse mappings (the anon_vma / rmap walk analog).
+// The reverse map IS the page tables (docs/reclaim.md "The reclaim sweep").
 //
-// Every PRESENT leaf entry — a PTE, or a huge PMD entry — is registered here when it is
-// installed and unregistered when it is cleared, by the fault handler, the COW break
-// paths, the range operations, and classic fork's entry copies. Reclaim uses the registry
-// to find and rewrite every mapping of a frame (try_to_unmap) and the verifier
-// cross-checks it against a full page-table walk (docs/reclaim.md "Rmap invariants").
+// Reclaim, memory failure and the verifier need every leaf slot that maps a frame. Rather
+// than keep a second, per-PTE copy of the page tables current on every install and clear,
+// they read the page tables themselves: one sweep over every live address space visits
+// each distinct PTE table and each huge PMD leaf once. That is the granularity of the
+// paper's §3.6 accounting, where a shared PTE table holds ONE reference per page on behalf
+// of all its sharers — so a slot in a table shared by N on-demand-forked processes is
+// found once, and an anonymous order-0 frame is evictable exactly when its refcount equals
+// the number of slots found.
 //
-// Granularity under on-demand-fork (the whole point): a slot in a SHARED PTE table is ONE
-// location here even though it maps the frame into every sharing process. The fan-out is
-// carried by the table's pt_share_count, mirroring how a shared table holds page
-// references on behalf of all sharers (paper §3.6). A consequence the shrinker relies on:
-// for an anonymous frame, refcount == location count exactly when every reference is a
-// mapping — the evictability test needs no process walk.
+// The sweep goes 2 MiB chunk by chunk (one PTE table's span) in address order, and at
+// each chunk visits every space's table for it. Fork mirrors the parent's layout, so all
+// sharers of a frame show up in the same step — the step the CLOCK shrinker (shrink.h)
+// evicts from. A frame whose mappings sit at different addresses (after mremap in one
+// sharer) is found in pieces, fails the refcount test at every step, and stays resident.
 //
-// Frames are keyed by the id EXACTLY as stored in the entry: tail frames of a split huge
-// page register under their own ids (head+i), huge PMD leaves under the head with
-// huge=true. Slot pointers stay valid while the table frame lives; Drop*TableReference
-// removes locations before freeing a table.
+// The sweep reads page tables non-atomically as a whole: callers hold the MmGate
+// exclusively, so no mutator is mid-operation.
 #ifndef ODF_SRC_RECLAIM_RMAP_H_
 #define ODF_SRC_RECLAIM_RMAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "src/mm/address_space.h"
 #include "src/phys/frame_allocator.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
+#include "src/pt/pte.h"
 #include "src/util/thread_annotations.h"
 
 namespace odf {
 namespace reclaim {
 
-class PageLru;
-
-// One reverse mapping: the leaf slot holding a present entry that references the frame.
-struct RmapLocation {
+// One present leaf entry: a PTE, or a huge PMD entry.
+struct Mapping {
+  FrameId frame = kInvalidFrame;  // Exactly as stored (a split-huge tail is head+i).
   uint64_t* slot = nullptr;
   bool huge = false;
 };
 
-class RmapRegistry {
+// The address spaces a sweep covers. Shared pointers keep each space alive for the sweep
+// even if its process is reaped meanwhile.
+using SpaceList = std::vector<std::shared_ptr<AddressSpace>>;
+
+// A snapshot of the PMD level of `spaces`: the chunks where at least one space has a PTE
+// table or a huge leaf, in address order. Holders of the exclusive MmGate rewrite leaf
+// entries (eviction, offline) but never link or free tables, so the snapshot stays valid
+// for the rest of the hold.
+class ChunkSweep {
  public:
-  explicit RmapRegistry(FrameAllocator* allocator);
-  ~RmapRegistry();
-
-  RmapRegistry(const RmapRegistry&) = delete;
-  RmapRegistry& operator=(const RmapRegistry&) = delete;
-
-  // LRU driven from Add/Remove: a frame enters the inactive list with its first location
-  // and leaves with its last (anonymous order-0 frames only).
-  void AttachLru(PageLru* lru);
-  PageLru* lru() const { return lru_; }
-  FrameAllocator& allocator() const { return *allocator_; }
-
-  // Registers one mapping of `frame` (the id exactly as stored in the entry). Consults
-  // fault-injection site rmap_alloc: an injected failure marks the frame rmap-unstable —
-  // sticky, and the shrinker refuses to evict it (the accounting stays exact; only
-  // reclaimability is lost, which is what a failed rmap allocation costs the kernel too).
-  void Add(FrameId frame, uint64_t* slot, bool huge = false);
-
-  // Unregisters one mapping. The (frame, slot) pair must have been Added.
-  void Remove(FrameId frame, uint64_t* slot, bool huge = false);
-
-  // Unregisters every mapping of `frame` (eviction: the caller already rewrote the slots).
-  void RemoveAll(FrameId frame);
-
-  // Repoints one mapping (mremap's entry move).
-  void Move(FrameId frame, uint64_t* from, uint64_t* to);
-
-  size_t LocationCount(FrameId frame) const;
-  bool Contains(FrameId frame, const uint64_t* slot, bool huge) const;
-  bool IsUnstable(FrameId frame) const;
-
-  // Copies `frame`'s locations into `out` (appended). A snapshot is only actionable while
-  // the caller holds the MmGate exclusively — otherwise slots may be rewritten under it.
-  void Snapshot(FrameId frame, std::vector<RmapLocation>* out) const
+  ChunkSweep(FrameAllocator& allocator, const SpaceList& spaces)
       ODF_REQUIRES(MmGate::Global());
 
-  // Totals across all shards (verify / meminfo).
-  uint64_t TotalLocations() const;
-  uint64_t MappedFrames() const;
+  // Number of chunk steps in one revolution.
+  size_t size() const { return starts_.size() - 1; }
+  Vaddr chunk(size_t step) const { return refs_[starts_[step]].chunk; }
+  // The first step at or after `va`, wrapping to step 0 past the last chunk.
+  size_t StepAtOrAfter(Vaddr va) const;
 
-  // Calls fn(frame, slot, huge) for every location. Callers must hold the MmGate
-  // exclusively (the verifier does); shard locks are taken one at a time.
+  // Calls fn(const Mapping&) for every present leaf of every space at `step`, each
+  // distinct slot once.
   template <typename Fn>
-  void ForEachLocation(Fn&& fn) const ODF_REQUIRES(MmGate::Global()) {
-    for (size_t i = 0; i < kShards; ++i) {
-      ForEachLocationInShard(i, [&](FrameId frame, const uint64_t* slot, bool huge) {
-        fn(frame, slot, huge);
-      });
+  void ForEachLeaf(size_t step, Fn&& fn) const {
+    // A PTE table shared by on-demand-fork hangs under every sharer's PMD entry: scan once.
+    std::vector<FrameId> tables;
+    for (size_t i = starts_[step]; i < starts_[step + 1]; ++i) {
+      Pte pmd = LoadEntry(refs_[i].pmd_slot);
+      if (!pmd.IsPresent()) {
+        continue;
+      }
+      if (pmd.IsHuge()) {
+        fn(Mapping{pmd.frame(), refs_[i].pmd_slot, /*huge=*/true});
+        continue;
+      }
+      if (std::find(tables.begin(), tables.end(), pmd.frame()) != tables.end()) {
+        continue;
+      }
+      tables.push_back(pmd.frame());
+      uint64_t* entries = allocator_.TableEntries(pmd.frame());
+      for (uint64_t k = 0; k < kEntriesPerTable; ++k) {
+        Pte entry = LoadEntry(&entries[k]);
+        if (entry.IsPresent()) {
+          fn(Mapping{entry.frame(), &entries[k], /*huge=*/false});
+        }
+      }
     }
   }
 
+  // The leaves of `step` (ForEachLeaf), sorted by frame so that one frame's mappings are
+  // adjacent.
+  void Gather(size_t step, std::vector<Mapping>* out) const;
+
  private:
-  struct FrameEntry {
-    // Mappings of one frame. Almost always a handful (sharers that COW-broke); linear
-    // scans beat any indexed structure at this size.
-    std::vector<RmapLocation> locations;
-    bool unstable = false;
+  struct PmdRef {
+    Vaddr chunk;
+    uint64_t* pmd_slot;
   };
 
-  struct Shard;
+  FrameAllocator& allocator_;
+  std::vector<PmdRef> refs_;    // Sorted by chunk.
+  std::vector<size_t> starts_;  // Index into refs_ where each step begins, then refs_.size().
+};
 
-  static constexpr size_t kShards = 64;
+// Mapping statistics of one full sweep (the reclaim gauges in procfs).
+struct RmapCensus {
+  uint64_t locations = 0;      // Present leaf slots.
+  uint64_t frames = 0;         // Distinct frames they map.
+  uint64_t active_anon = 0;    // Order-0 anonymous frames in the CLOCK's active state.
+  uint64_t inactive_anon = 0;  // ... and the rest of them, the eviction candidates.
+};
 
-  Shard& ShardFor(FrameId frame) const;
-  void ForEachLocationInShard(
-      size_t shard_index,
-      const std::function<void(FrameId, const uint64_t*, bool)>& fn) const;
-  bool LruEligible(FrameId frame, bool huge) const;
+// The kernel's handle on the sweep: which address spaces are live, the CLOCK hand, and
+// whole-system queries.
+class Rmap {
+ public:
+  Rmap(FrameAllocator* allocator, std::function<SpaceList()> spaces);
 
+  Rmap(const Rmap&) = delete;
+  Rmap& operator=(const Rmap&) = delete;
+
+  // Every live address space: running processes plus forks still being copied.
+  SpaceList Spaces() const { return spaces_(); }
+
+  // Calls fn(const Mapping&) for every distinct present leaf of every live space.
+  template <typename Fn>
+  void ForEachMapping(Fn&& fn) ODF_REQUIRES(MmGate::Global()) {
+    SpaceList spaces = Spaces();
+    ChunkSweep sweep(*allocator_, spaces);
+    for (size_t step = 0; step < sweep.size(); ++step) {
+      sweep.ForEachLeaf(step, fn);
+    }
+  }
+
+  // The 4 KiB slots that map `frame` (appended to `out`).
+  void CollectSlots(FrameId frame, std::vector<uint64_t*>* out)
+      ODF_REQUIRES(MmGate::Global());
+
+  // Queries for tests, procfs and benches. Each takes the MmGate exclusively for one sweep.
+  uint64_t TotalLocations();
+  size_t LocationCount(FrameId frame);
+  RmapCensus Census();
+
+  // The 2 MiB chunk the next CLOCK round starts at (shrink.cc).
+  Vaddr hand ODF_GUARDED_BY(MmGate::Global()) = 0;
+
+ private:
   FrameAllocator* allocator_;
-  PageLru* lru_ = nullptr;
-  std::unique_ptr<Shard[]> shards_;
+  std::function<SpaceList()> spaces_;
 };
 
 }  // namespace reclaim

@@ -1,12 +1,11 @@
 #include "src/reclaim/shrink.h"
 
-#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "src/debug/debug.h"
 #include "src/fi/fault_inject.h"
 #include "src/pt/pte.h"
-#include "src/reclaim/mm_gate.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
 
@@ -15,198 +14,140 @@ namespace reclaim {
 
 namespace {
 
-constexpr size_t kScanBatch = 64;
+// Three visits take a frame from referenced through active and inactive to evicted; a
+// workingset refault needs a fourth.
+constexpr size_t kRevolutions = 4;
 
-// An inactive-tail candidate the shrinker cannot or should not evict right now goes back
-// to the ACTIVE head: putting it back inactive would make the very next TakeInactive spin
-// on it, and a frame that dodged eviction has earned another aging round anyway.
-void Rotate(ShrinkContext& ctx, FrameId frame) { ctx.lru->PutBack(frame, /*active=*/true); }
+// The CLOCK step for one frame, given all its mappings found at the current chunk.
+// Returns true when the frame was evicted (and freed).
+bool ShrinkFrame(ShrinkContext& ctx, FrameId frame, std::span<const Mapping> mappings,
+                 bool* tlb_dirty) {
+  FrameAllocator& allocator = *ctx.allocator;
+  PageMeta& meta = allocator.GetMeta(frame);
+  // Only order-0 private anonymous frames age: file pages belong to the page cache (their
+  // refcount includes the cache's reference, so they could never pass the test below),
+  // compound frames cannot be freed one PTE at a time, and a poisoned frame belongs to
+  // the offline path.
+  if ((meta.flags & kPageFlagAnon) == 0 || meta.IsCompound() || meta.IsHwPoisoned()) {
+    return false;
+  }
+  bool active = false;
+  bool referenced = false;
+  for (const Mapping& mapping : mappings) {
+    active = active || LoadEntry(mapping.slot).IsActive();
+    referenced = TestAndClearFlags(mapping.slot, kPteAccessed) || referenced;
+  }
+  if (referenced) {
+    *tlb_dirty = true;  // Cached translations must re-walk to set the bit again.
+  }
+  if (!active) {
+    CountVm(VmCounter::k_pgscan);
+  }
+  if (referenced) {
+    if (!active) {
+      for (const Mapping& mapping : mappings) {
+        SetEntryFlags(mapping.slot, kPteActive);
+      }
+      CountVm(VmCounter::k_pgactivate);
+    }
+    return false;
+  }
+  if (active) {
+    // A workingset refault keeps its active state for one extra sweep.
+    bool workingset = false;
+    for (const Mapping& mapping : mappings) {
+      workingset = TestAndClearFlags(mapping.slot, kPteWorkingset) || workingset;
+    }
+    if (!workingset) {
+      for (const Mapping& mapping : mappings) {
+        TestAndClearFlags(mapping.slot, kPteActive);
+      }
+      CountVm(VmCounter::k_pgdeactivate);
+    }
+    return false;
+  }
+  // Evictable only when every reference is a mapping we are about to clear. A shared PTE
+  // table holds ONE reference on behalf of all sharers (§3.6), so this holds for frames
+  // reached through shared tables too. Extra references mean someone else pins the frame
+  // (a mid-rollback fork, a test) or maps it at another address (mremap in one sharer).
+  if (meta.refcount.load(std::memory_order_relaxed) != mappings.size()) {
+    return false;
+  }
+  // Writeback failure injection (reclaim_writeback): the page stays resident.
+  if (fi::ShouldInject(FiSite::k_reclaim_writeback)) {
+    return false;
+  }
+  std::byte* data = allocator.PeekData(frame);
+  if (data != nullptr) {
+    SwapSlot slot = ctx.swap->TryWriteOut(data);
+    if (slot == kInvalidSwapSlot) {
+      return false;  // Swap full or IO error: keep the page resident.
+    }
+    // Broadcast the swap entry into every mapping. The slot carries one reference per
+    // mapping (TryWriteOut returned it with one), exactly mirroring the frame references
+    // being dropped below — sharers that later diverge (DedicatePteTable) IncRef the slot
+    // per copied swap PTE, and each swap-in fault DecRefs it.
+    for (size_t i = 1; i < mappings.size(); ++i) {
+      ctx.swap->IncRef(slot);
+    }
+    for (const Mapping& mapping : mappings) {
+      StoreEntry(mapping.slot, Pte::MakeSwap(slot));
+    }
+    CountVm(VmCounter::k_pgswapout);
+    ODF_TRACE(page_swap_out, 0, frame);
+  } else {
+    // Never materialised: the content is logical zero, so dropping the mappings loses
+    // nothing — the next fault demand-zeroes the page again. No swap slot.
+    for (const Mapping& mapping : mappings) {
+      StoreEntry(mapping.slot, Pte());
+    }
+  }
+  ODF_TRACE(rmap_unmap, 0, frame, mappings.size());
+  // One reference per cleared mapping; the last one frees the frame (the refcount test
+  // above guarantees it).
+  for (size_t i = 0; i < mappings.size(); ++i) {
+    // The evictor holds the MmGate exclusively, so every allocating path (fault, fork:
+    // gate-shared) is blocked and the freed frame cannot be recycled before ReclaimPages'
+    // deferred FlushAll bumps the generations — before the gate drops.
+    // odf-lint: allow(gen-before-free)
+    allocator.DecRef(frame);
+  }
+  *tlb_dirty = true;
+  CountVm(VmCounter::k_pgsteal);
+  return true;
+}
 
 }  // namespace
 
-uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
-                       uint64_t* scanned_out) {
-  std::vector<FrameId> batch;
-  std::vector<RmapLocation> locations;
-  ctx.lru->TakeActive(scan, &batch);
-  if (scanned_out != nullptr) {
-    *scanned_out = batch.size();
-  }
-  uint64_t demoted = 0;
-  for (FrameId frame : batch) {
-    locations.clear();
-    ctx.rmap->Snapshot(frame, &locations);
-    if (locations.empty()) {
-      continue;  // Last mapping went away while the frame was detached.
-    }
-    bool referenced = false;
-    for (const RmapLocation& location : locations) {
-      if (TestAndClearAccessed(location.slot)) {
-        referenced = true;
-        *tlb_dirty = true;
-      }
-    }
-    if (referenced) {
-      ctx.lru->PutBack(frame, /*active=*/true);
-    } else {
-      ctx.lru->PutBack(frame, /*active=*/false);
-      ++demoted;
-      CountVm(VmCounter::k_pgdeactivate);
-    }
-  }
-  return demoted;
-}
-
-uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
-                            bool* tlb_dirty, uint64_t* scanned_out) {
-  ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "shrink without the MmGate held exclusive";
-  FrameAllocator& allocator = *ctx.allocator;
-  std::vector<FrameId> batch;
-  std::vector<RmapLocation> locations;
-  uint64_t freed = 0;
-  uint64_t scanned = 0;
-  while (freed < want && scanned < scan) {
-    batch.clear();
-    size_t take = static_cast<size_t>(std::min<uint64_t>(scan - scanned, kScanBatch));
-    if (ctx.lru->TakeInactive(take, &batch) == 0) {
-      break;
-    }
-    size_t processed = 0;
-    for (FrameId frame : batch) {
-      if (freed >= want) {
-        break;  // Unprocessed frames are reattached below; Take detached them.
-      }
-      ++processed;
-      ++scanned;
-      CountVm(VmCounter::k_pgscan);
-      locations.clear();
-      ctx.rmap->Snapshot(frame, &locations);
-      if (locations.empty()) {
-        continue;  // Unmapped while detached; the frame is no longer ours to manage.
-      }
-      PageMeta& meta = allocator.GetMeta(frame);
-      // LRU admission (LruEligible) only lets order-0 anon frames in; re-check
-      // defensively, since eviction of anything else would corrupt accounting.
-      if (meta.IsCompound() || meta.IsPageTable() || (meta.flags & kPageFlagAnon) == 0) {
-        ODF_DCHECK(false) << "non-anon frame " << frame << " on the LRU";
-        Rotate(ctx, frame);
-        continue;
-      }
-      if (ctx.rmap->IsUnstable(frame)) {
-        Rotate(ctx, frame);  // Injected rmap_alloc failure: reverse map not trustworthy.
-        continue;
-      }
-      if (meta.IsHwPoisoned()) {
-        // Defensive: memory failure erases its frame from the LRU under the exclusive
-        // gate, so a poisoned frame here means a racing offline detached it between our
-        // Take and this check. Never swap out dead bytes; drop it from the scan (the
-        // offline path owns its lifecycle now).
-        continue;
-      }
-      // Evictable only when every reference is a mapping we are about to clear. A shared
-      // PTE table holds ONE reference on behalf of all sharers (§3.6), so this holds for
-      // frames reached through shared tables too. Extra references mean someone else
-      // (a mid-rollback fork, a test) pins the frame — not ours to take.
-      if (meta.refcount.load(std::memory_order_relaxed) != locations.size()) {
-        Rotate(ctx, frame);
-        continue;
-      }
-      // Second chance: referenced since it was deactivated.
-      bool referenced = false;
-      for (const RmapLocation& location : locations) {
-        if (TestAndClearAccessed(location.slot)) {
-          referenced = true;
-          *tlb_dirty = true;
-        }
-      }
-      if (referenced) {
-        Rotate(ctx, frame);
-        CountVm(VmCounter::k_pgactivate);
-        continue;
-      }
-      // Writeback failure injection (reclaim_writeback): the page stays resident.
-      if (fi::ShouldInject(FiSite::k_reclaim_writeback)) {
-        Rotate(ctx, frame);
-        continue;
-      }
-      std::byte* data = allocator.PeekData(frame);
-      if (data != nullptr) {
-        SwapSlot slot = ctx.swap->TryWriteOut(data);
-        if (slot == kInvalidSwapSlot) {
-          Rotate(ctx, frame);  // Swap full or IO error: keep the page resident.
-          continue;
-        }
-        // Broadcast the swap entry into every mapping. The slot carries one reference per
-        // mapping (TryWriteOut returned it with one), exactly mirroring the frame
-        // references being dropped below — sharers that later diverge (DedicatePteTable)
-        // IncRef the slot per copied swap PTE, and each swap-in fault DecRefs it.
-        for (size_t i = 1; i < locations.size(); ++i) {
-          ctx.swap->IncRef(slot);
-        }
-        for (const RmapLocation& location : locations) {
-          StoreEntry(location.slot, Pte::MakeSwap(slot));
-        }
-        ctx.lru->RecordEviction(slot);
-        CountVm(VmCounter::k_pgswapout);
-        ODF_TRACE(page_swap_out, 0, frame);
-      } else {
-        // Never materialised: the content is logical zero, so dropping the mappings
-        // loses nothing — the next fault demand-zeroes the page again. No swap slot.
-        for (const RmapLocation& location : locations) {
-          StoreEntry(location.slot, Pte());
-        }
-      }
-      ODF_TRACE(rmap_unmap, 0, frame, locations.size());
-      ctx.rmap->RemoveAll(frame);
-      // One reference per cleared mapping; the last one frees the frame (the
-      // refcount == locations.size() test above guarantees it).
-      for (size_t i = 0; i < locations.size(); ++i) {
-        // The evictor holds the MmGate exclusively, so every allocating path (fault,
-        // fork: gate-shared) is blocked and the freed frame cannot be recycled before
-        // ReclaimPages' deferred FlushAll bumps the generations — before the gate drops.
-        // odf-lint: allow(gen-before-free)
-        allocator.DecRef(frame);
-      }
-      ++freed;
-      *tlb_dirty = true;
-      CountVm(VmCounter::k_pgsteal);
-    }
-    // An early stop (want satisfied) leaves the batch tail detached from the LRU; those
-    // frames were never looked at, so they go back where they came from.
-    for (size_t i = processed; i < batch.size(); ++i) {
-      ctx.lru->PutBack(batch[i], /*active=*/false);
-    }
-  }
-  if (scanned_out != nullptr) {
-    *scanned_out = scanned;
-  }
-  return freed;
-}
-
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) {
   ODF_DCHECK(MmGate::ThreadHoldsExclusive()) << "reclaim without the MmGate held exclusive";
+  Rmap& rmap = *ctx.rmap;
+  SpaceList spaces = rmap.Spaces();
+  ChunkSweep sweep(*ctx.allocator, spaces);
+  if (sweep.size() == 0) {
+    return 0;
+  }
+  std::vector<Mapping> leaves;
   bool tlb_dirty = false;
   uint64_t freed = 0;
-  // Alternate aging and shrinking. The first passes over freshly-faulted pages mostly
-  // harvest accessed bits (everything looks referenced and gets its second chance); the
-  // demotions those passes produce are what the later passes evict. Scan pressure
-  // escalates each round (the priority analog of Linux's shrink loop) so a working set
-  // that is entirely referenced still converges: once a round covers the whole inactive
-  // list, every accessed bit is clear and the next aging pass demotes the cold tail.
-  for (int round = 0; round < 16 && freed < want; ++round) {
-    uint64_t need = want - freed;
-    uint64_t scan = std::max<uint64_t>(need * 2, kScanBatch) << std::min(round, 10);
-    uint64_t demoted = 0;
-    uint64_t aged = 0;
-    if (ctx.lru->InactiveSize() < scan) {
-      demoted = AgeActiveList(ctx, scan, &tlb_dirty, &aged);
+  size_t step = sweep.StepAtOrAfter(rmap.hand);
+  for (size_t visits = 0; visits < kRevolutions * sweep.size() && freed < want; ++visits) {
+    sweep.Gather(step, &leaves);
+    size_t begin = 0;
+    while (begin < leaves.size() && freed < want) {
+      size_t end = begin + 1;
+      while (end < leaves.size() && leaves[end].frame == leaves[begin].frame) {
+        ++end;
+      }
+      std::span<const Mapping> mappings(leaves.data() + begin, end - begin);
+      if (ShrinkFrame(ctx, leaves[begin].frame, mappings, &tlb_dirty)) {
+        ++freed;
+      }
+      begin = end;
     }
-    uint64_t scanned = 0;
-    uint64_t got = ShrinkInactiveList(ctx, need, scan, &tlb_dirty, &scanned);
-    freed += got;
-    if (got == 0 && demoted == 0 && scanned == 0 && aged == 0) {
-      break;  // Total stall: both lists are empty or drained. Caller falls back (OOM).
-    }
+    // A chunk left part-way is where the next round resumes; otherwise the hand moves on.
+    rmap.hand = sweep.chunk(step) + (begin < leaves.size() ? 0 : kPteTableSpan);
+    step = (step + 1) % sweep.size();
   }
   if (tlb_dirty && ctx.flush_tlbs) {
     // One coarse flush per reclaim round, BEFORE any mutator can run again (the caller

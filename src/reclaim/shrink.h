@@ -1,11 +1,28 @@
-// The shrinker: try_to_unmap-style eviction of inactive anonymous pages, plus the
-// active-list aging scan that feeds it. This is the policy core shared by kswapd and
-// direct reclaim (Kernel::ReclaimMemory).
+// The shrinker: a CLOCK over the reclaim sweep (rmap.h), shared by kswapd and direct
+// reclaim (Kernel::ReclaimMemory).
 //
-// CALLERS MUST HOLD THE MmGate EXCLUSIVELY (mm_gate.h): the shrinker rewrites leaf
-// entries in tables shared across address spaces and frees the frames they referenced;
-// the gate guarantees no mutator is mid-operation and that TLBs are flushed before any
-// mutator resumes.
+// A persistent hand (Rmap::hand, a 2 MiB chunk address) walks the chunks that any live
+// address space maps, resuming where the last round stopped. At each chunk the sweep
+// yields every mapping of every frame found there; for each order-0 anonymous frame the
+// shrinker test-and-clears the accessed bits of all its slots at once and moves it one
+// step through the two-bit CLOCK (the PTE accessed bit plus the kPteActive software bit,
+// the PG_referenced / PG_active pair):
+//
+//   inactive, referenced      -> active                 (pgactivate)
+//   active, not referenced    -> inactive               (pgdeactivate)
+//   inactive, not referenced  -> evicted when its refcount equals the slots found (pgsteal)
+//
+// A workingset refault (a swap-in soon after its eviction, detected through the swap
+// slot's shadow; pgrefault) starts active with kPteWorkingset set: its first unreferenced
+// visit only clears that bit, so it outlasts a page that refaulted cold by one sweep.
+// pgscan counts the inactive frames examined. Eviction rewrites every slot with one swap
+// entry (a shared-table slot once for all its sharers, §3.6) or, for a frame whose content
+// was never materialised, with an empty entry.
+//
+// CALLERS MUST HOLD THE MmGate EXCLUSIVELY (mm_gate.h): the shrinker rewrites leaf entries
+// in tables shared across address spaces and frees the frames they referenced; the gate
+// guarantees no mutator is mid-operation and that TLBs are flushed before any mutator
+// resumes.
 #ifndef ODF_SRC_RECLAIM_SHRINK_H_
 #define ODF_SRC_RECLAIM_SHRINK_H_
 
@@ -14,7 +31,6 @@
 
 #include "src/mm/swap.h"
 #include "src/phys/frame_allocator.h"
-#include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
 
 namespace odf {
@@ -26,33 +42,16 @@ namespace reclaim {
 struct ShrinkContext {
   FrameAllocator* allocator = nullptr;
   SwapSpace* swap = nullptr;
-  RmapRegistry* rmap = nullptr;
-  PageLru* lru = nullptr;
+  Rmap* rmap = nullptr;
   std::function<void()> flush_tlbs;
 };
 
-// Ages the active tail: frames referenced since their last scan rotate back to the active
-// head (accessed bits harvested), cold frames demote to the inactive head (pgdeactivate).
-// Returns the number demoted; sets *tlb_dirty when any accessed bit was cleared.
-// *scanned_out (optional) reports how many frames were examined: a pass that rotates a
-// fully-referenced list demotes nothing yet still makes progress (the cleared bits make
-// the next pass demote), and ReclaimPages must not read that as a stall.
-uint64_t AgeActiveList(ShrinkContext& ctx, uint64_t scan, bool* tlb_dirty,
-                       uint64_t* scanned_out = nullptr);
-
-// Scans up to `scan` frames off the inactive tail and evicts up to `want` of them:
-// referenced frames get their second chance (re-activated, pgactivate), evictable frames
-// have every rmap location rewritten to a swap entry (or cleared, for never-materialised
-// zero pages), their swap slot referenced once per mapping, and their frame references
-// dropped (pgsteal). Returns frames freed; *scanned_out (optional) reports how many
-// frames were looked at, so callers can tell a stalled list from a referenced one.
-uint64_t ShrinkInactiveList(ShrinkContext& ctx, uint64_t want, uint64_t scan,
-                            bool* tlb_dirty, uint64_t* scanned_out = nullptr);
-
-// The full reclaim round used by kswapd and direct reclaim: alternates aging and
-// shrinking until `want` frames are freed or no progress is possible, then flushes TLBs
-// once if anything changed. Returns frames freed.
-uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want);
+// One reclaim round: runs the CLOCK from the hand until `want` frames are freed or four
+// revolutions are done — enough to take any frame from just-referenced to evicted, since
+// the gate holds off every fault (only a lock-free read can set an accessed bit again,
+// which keeps that page resident). Then flushes TLBs once if any entry changed. Returns
+// frames freed.
+uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) ODF_REQUIRES(MmGate::Global());
 
 }  // namespace reclaim
 }  // namespace odf

@@ -9,7 +9,7 @@
 //
 // This is deliberately a bare synchronization primitive with no repo
 // dependencies: it lives in src/util (below the mm lock graph) and the mm-layer
-// wrappers (reclaim::MmGate, mm::MmLockTable) layer lockdep registration and
+// wrappers (MmGate, mm::MmLockTable) layer lockdep registration and
 // contention metrics on top of the wait times it reports.
 #ifndef ODF_SRC_UTIL_BRAVO_GATE_H_
 #define ODF_SRC_UTIL_BRAVO_GATE_H_
@@ -28,7 +28,7 @@ namespace odf::util {
 // deliberately NOT annotated: the analysis cannot follow a ReadToken from LockShared to
 // UnlockShared (it tracks lexical scopes, not values), so BravoGate sits below the
 // analysis like std::atomic does. The annotated contract lives entirely in the scoped
-// wrappers that own the tokens — reclaim::MmGate::{Shared,Exclusive}Scope and
+// wrappers that own the tokens — MmGate::{Shared,Exclusive}Scope and
 // MmLockTable::{Read,Write}Scope declare ACQUIRE/RELEASE on the wrapper capability —
 // which also keeps the conditional fallback protocol here free of opt-outs.
 class ODF_CAPABILITY("bravo_gate") BravoGate {

@@ -8,9 +8,11 @@
 #include <string>
 #include <thread>
 
+#include "src/apps/kvstore.h"
 #include "src/debug/verify.h"
 #include "src/replay/recorder.h"
 #include "src/replay/replayer.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -296,6 +298,45 @@ TEST(ConcurrencyTest, ConcurrentForkCountersStayConsistent) {
   EXPECT_EQ(kernel.fork_counters().on_demand_forks,
             static_cast<uint64_t>(kThreads) * kForksPerThread);
   EXPECT_EQ(kernel.ProcessCount(), static_cast<size_t>(kThreads));
+}
+
+// A Redis-style BGSAVE loop on one on-demand-fork lineage: each round's child writes a
+// dump and exits on one thread while the server COW-faults across every shared table on
+// another, so the child's teardown drops its table shares while the server dedicates the
+// same tables. After teardown nothing may leak.
+TEST(ConcurrencyTest, SnapshotChildExitRacesParentCowFaults) {
+  constexpr int kRounds = 30;
+  constexpr uint64_t kKeys = 2048;
+  constexpr const char* kDump = "/dump.rdb";
+  Kernel kernel;
+  Process& server = kernel.CreateProcess();
+  {
+    KvStore store = KvStore::Create(kernel, server, 32 << 20, /*bucket_count=*/4096);
+    Rng rng(55);
+    store.FillSequential(kKeys, 2048, rng);
+    for (int round = 0; round < kRounds; ++round) {
+      Process& child = kernel.Fork(server, ForkMode::kOnDemand);
+      Pid child_pid = child.pid();
+      std::thread snapshotter([&] {
+        KvStore view = KvStore::Attach(kernel, child, store.meta_base());
+        view.SaveSnapshot(kDump);
+        kernel.Exit(child, 0);
+      });
+      for (uint64_t key = 0; key < kKeys; ++key) {
+        store.Set("key:" + std::to_string(key), "round-" + std::to_string(round));
+      }
+      snapshotter.join();
+      ASSERT_EQ(kernel.Wait(server), child_pid);
+    }
+  }
+  debug::VerifyResult live = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(live.ok()) << live.Describe();
+  kernel.Exit(server, 0);
+  kernel.fs().Remove(kDump);
+  debug::VerifyResult torn_down = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(torn_down.ok()) << torn_down.Describe();
+  EXPECT_TRUE(kernel.allocator().AllFree())
+      << kernel.allocator().Stats().allocated_frames << " frames still allocated";
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/mm/range_ops.h"
+#include "src/trace/metrics.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -146,6 +147,31 @@ TEST_F(ClassicForkTest, ReadOnlyMappingSurvivesFork) {
   ExpectPattern(child, va, kHugePageSize, 12);
   std::byte b{1};
   EXPECT_FALSE(child.WriteMemory(va, std::span(&b, 1))) << "read-only VMA must SEGV on write";
+}
+
+// The copy loop is the same with and without a ForkProfile: swapped-out entries are copied
+// (and counted) either way.
+TEST(ClassicForkProfileTest, ProfiledForkCountsSwapEntriesLikeUnprofiled) {
+  constexpr uint64_t kPages = 32;
+  for (bool profiled : {false, true}) {
+    Kernel kernel;
+    Process& parent = kernel.CreateProcess();
+    Vaddr va = parent.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+    FillPattern(parent, va, kPages * kPageSize, 5);
+    ASSERT_EQ(kernel.ReclaimMemory(kPages / 2), kPages / 2);  // Half the entries are swap.
+
+    ForkProfile profile;
+    uint64_t copied_before = ReadVm(VmCounter::k_fork_pte_entries_copied);
+    Process& child = kernel.Fork(parent, ForkMode::kClassic, profiled ? &profile : nullptr);
+    EXPECT_EQ(ReadVm(VmCounter::k_fork_pte_entries_copied) - copied_before, kPages)
+        << (profiled ? "profiled" : "unprofiled");
+    EXPECT_EQ(kernel.fork_counters().pte_entries_copied.load(), kPages)
+        << (profiled ? "profiled" : "unprofiled");
+    if (profiled) {
+      EXPECT_EQ(profile.pte_entries_copied, kPages);
+    }
+    ExpectPattern(child, va, kPages * kPageSize, 5);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // and the swap device.
 #include <gtest/gtest.h>
 
-#include "src/mm/reclaim.h"
 #include "src/proc/auditor.h"
 #include "tests/test_util.h"
 
@@ -69,8 +68,7 @@ TEST_F(MadviseTest, DontNeedInChildLeavesParentAndSharedTableIntact) {
 TEST_F(MadviseTest, DontNeedReleasesSwapSlots) {
   Vaddr va = p_.Mmap(32 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 32 * kPageSize, 4);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
+  kernel_.ReclaimMemory(1000);  // More than is mapped: evicts every page.
   ASSERT_GT(kernel_.swap_space().Stats().slots_in_use, 0u);
   p_.MadviseDontNeed(va, 32 * kPageSize);
   EXPECT_TRUE(kernel_.swap_space().AllFree())
@@ -93,8 +91,7 @@ TEST_F(MadviseTest, MincoreReportsResidency) {
 TEST_F(MadviseTest, MincoreReportsSwappedPages) {
   Vaddr va = p_.Mmap(4 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 4 * kPageSize, 5);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
+  kernel_.ReclaimMemory(1000);  // More than is mapped: evicts every page.
   std::vector<uint8_t> residency = p_.Mincore(va, 4 * kPageSize);
   for (uint8_t state : residency) {
     EXPECT_EQ(state, 2) << "every page should be on swap";

@@ -95,8 +95,9 @@ void ExpectContained(Process& p, Vaddr base, Vaddr dead_va) {
 }
 
 // The §3.6 headline: a frame mapped into 9 processes through shared on-demand-fork PTE
-// tables has ONE rmap location, so hard offline rewrites ONE slot — and still contains
-// the error for every sharer. Every byte outside the dead page survives in all of them.
+// tables sits in ONE slot the sweep finds once, so hard offline rewrites ONE slot — and
+// still contains the error for every sharer. Every byte outside the dead page survives in
+// all of them.
 TEST_F(MemoryFailureTest, HardOfflineContainsThroughSharedOdfTables) {
   Kernel kernel;
   Process& parent = kernel.CreateProcess();
@@ -158,6 +159,34 @@ TEST_F(MemoryFailureTest, HardOfflineContainsThroughClassicTables) {
     kernel.Exit(*child, 0);
     kernel.Wait(parent);
   }
+}
+
+// After mremap in one classic-fork sharer, the frame's two slots sit at different
+// addresses — the reclaim sweep never evicts such a frame, but offline must still find
+// and poison both.
+TEST_F(MemoryFailureTest, HardOfflineAfterMremapPoisonsBothSlots) {
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr base = parent.Mmap(4 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, base, 4 * kPageSize, 1);
+  Process& child = kernel.Fork(parent, ForkMode::kClassic);
+  child.Mmap(kHugePageSize, kProtRead | kProtWrite);  // Blocks in-place growth.
+  Vaddr moved = child.Mremap(base, 4 * kPageSize, 5 * kPageSize);
+  ASSERT_NE(EntryBase(moved, PtLevel::kPmd), EntryBase(base, PtLevel::kPmd));
+  FrameId frame = FrameAt(parent, base + kPageSize);
+  ASSERT_EQ(FrameAt(child, moved + kPageSize), frame);
+  ASSERT_EQ(kernel.rmap().LocationCount(frame), 2u);
+
+  EXPECT_EQ(kernel.MemoryFailure(frame), MfResult::kRecovered);
+
+  EXPECT_EQ(kernel.rmap().LocationCount(frame), 0u);
+  std::byte b{0};
+  EXPECT_FALSE(parent.ReadMemory(base + kPageSize, std::span(&b, 1)));
+  EXPECT_EQ(parent.last_fault_result(), FaultResult::kHwPoison);
+  EXPECT_FALSE(child.ReadMemory(moved + kPageSize, std::span(&b, 1)));
+  EXPECT_EQ(child.last_fault_result(), FaultResult::kHwPoison);
+  EXPECT_EQ(ReadByte(child, moved), ReadByte(parent, base)) << "neighbours survive";
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 
 // Fork after the failure: the child inherits the poison marker (not the dead page), under

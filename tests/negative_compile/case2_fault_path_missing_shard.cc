@@ -4,11 +4,11 @@
 // 'HandleFault' requires holding mutex 'as.locks().shard_cap' exclusively.
 #include "src/mm/fault.h"
 #include "src/pt/mm_locks.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 
 odf::FaultResult DriveFaultMissingShard(odf::AddressSpace& as, odf::Vaddr va) {
   odf::MmLockTable::ReadScope rs(as.locks());
-  odf::reclaim::MmGate::SharedScope gate;
+  odf::MmGate::SharedScope gate;
   // VIOLATION: no MmLockTable::ShardScope covering `va`.
   return odf::HandleFault(as, va, odf::AccessType::kRead);
 }

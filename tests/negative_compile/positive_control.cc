@@ -7,7 +7,7 @@
 #include "src/mm/fault.h"
 #include "src/pt/mm_locks.h"
 #include "src/pt/walker.h"
-#include "src/reclaim/mm_gate.h"
+#include "src/pt/mm_gate.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 
@@ -32,7 +32,7 @@ class Counter {
 odf::FaultResult DriveFault(odf::AddressSpace& as, odf::Vaddr va) {
   odf::MmLockTable::ReadScope rs(as.locks());
   odf::MmLockTable::ShardScope shard(as.locks(), va);
-  odf::reclaim::MmGate::SharedScope gate;
+  odf::MmGate::SharedScope gate;
   return odf::HandleFault(as, va, odf::AccessType::kRead);
 }
 

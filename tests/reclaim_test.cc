@@ -1,5 +1,5 @@
 // The odf::reclaim subsystem end to end (ctest labels: reclaim, concurrency):
-// reverse-map bookkeeping under both fork flavours, LRU second-chance aging,
+// the page-table sweep's mapping granularity under both fork flavours, CLOCK aging,
 // workingset refault detection, watermark-driven kswapd balancing, and the
 // acceptance workload from docs/reclaim.md — a working set twice the frame pool
 // that completes through reclaim alone, byte-checked, with zero OOM kills.
@@ -15,7 +15,6 @@
 #include "src/fi/fault_inject.h"
 #include "src/proc/procfs.h"
 #include "src/reclaim/kswapd.h"
-#include "src/reclaim/lru.h"
 #include "src/reclaim/rmap.h"
 #include "src/trace/metrics.h"
 #include "tests/test_util.h"
@@ -53,24 +52,33 @@ void ExpectVerifies(Kernel& kernel) {
   EXPECT_TRUE(result.ok()) << result.Describe();
 }
 
-// --- Rmap bookkeeping ---
+// Order-0 anonymous frames the CLOCK ages (active or not).
+uint64_t ClockFrames(Kernel& kernel) {
+  reclaim::RmapCensus census = kernel.rmap().Census();
+  return census.active_anon + census.inactive_anon;
+}
+
+// Whether the page at `va` is resident (1) or on swap (2), per mincore.
+uint8_t Residency(Process& p, Vaddr va) { return p.Mincore(va, kPageSize).at(0); }
+
+// --- Sweep granularity ---
 
 TEST(RmapTest, TracksLeafInstallAndClear) {
   Kernel kernel;
   Process& p = kernel.CreateProcess();
-  reclaim::RmapRegistry& rmap = kernel.rmap();
+  reclaim::Rmap& rmap = kernel.rmap();
   ASSERT_EQ(rmap.TotalLocations(), 0u);
 
   Vaddr va = p.Mmap(8 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p, va, 8 * kPageSize, 1);
   EXPECT_EQ(rmap.TotalLocations(), 8u);
-  EXPECT_EQ(rmap.MappedFrames(), 8u);
-  EXPECT_EQ(kernel.lru().Size(), 8u) << "anonymous order-0 frames join the LRU";
+  EXPECT_EQ(rmap.Census().frames, 8u);
+  EXPECT_EQ(ClockFrames(kernel), 8u) << "anonymous order-0 frames age on the CLOCK";
   ExpectVerifies(kernel);
 
   p.Munmap(va, 8 * kPageSize);
   EXPECT_EQ(rmap.TotalLocations(), 0u);
-  EXPECT_EQ(kernel.lru().Size(), 0u);
+  EXPECT_EQ(ClockFrames(kernel), 0u);
   ExpectVerifies(kernel);
 }
 
@@ -80,7 +88,7 @@ TEST(RmapTest, HugePagesAreMappedButNotLruManaged) {
   Vaddr va = p.Mmap(kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
   WriteByte(p, va, std::byte{0x5a});
   EXPECT_EQ(kernel.rmap().TotalLocations(), 1u) << "one huge PMD entry, one location";
-  EXPECT_EQ(kernel.lru().Size(), 0u) << "compound pages are not reclaim candidates";
+  EXPECT_EQ(ClockFrames(kernel), 0u) << "compound pages are not reclaim candidates";
   ExpectVerifies(kernel);
 }
 
@@ -92,13 +100,14 @@ TEST(RmapTest, SharedPteTableIsOneLocationPerSlot) {
   ASSERT_EQ(kernel.rmap().TotalLocations(), 8u);
 
   // On-demand fork shares the PTE table: the same 8 slots now map the frames into both
-  // processes, so the registry must NOT grow — the fan-out lives in pt_share_count (§3.6).
+  // processes, so the sweep must NOT find more — the fan-out lives in pt_share_count
+  // (§3.6).
   Process& odf_child = kernel.Fork(p, ForkMode::kOnDemand);
   EXPECT_EQ(kernel.rmap().TotalLocations(), 8u)
       << "a shared table contributes one location per slot, not one per sharer";
 
   // A write through the shared table COW-breaks it: the child gets a private copy whose 8
-  // present entries (7 still-shared frames + 1 fresh COW frame) all register.
+  // present entries (7 still-shared frames + 1 fresh COW frame) are all found.
   WriteByte(odf_child, va, std::byte{0x11});
   EXPECT_EQ(kernel.rmap().TotalLocations(), 16u);
   ExpectVerifies(kernel);
@@ -110,45 +119,72 @@ TEST(RmapTest, SharedPteTableIsOneLocationPerSlot) {
 
   kernel.Exit(classic_child, 0);
   kernel.Exit(odf_child, 0);
-  EXPECT_EQ(kernel.rmap().TotalLocations(), 8u) << "teardown unregisters exactly";
+  EXPECT_EQ(kernel.rmap().TotalLocations(), 8u) << "teardown leaves the parent's slots";
   ExpectVerifies(kernel);
 }
 
-// --- LRU aging and workingset shadows (direct unit coverage) ---
+// --- CLOCK aging and workingset shadows ---
 
-TEST(LruTest, InactiveTailIsColdestAndSecondChanceReinserts) {
-  reclaim::PageLru lru;
-  lru.Insert(1, /*active=*/false);
-  lru.Insert(2, /*active=*/false);
-  lru.Insert(3, /*active=*/false);
-  EXPECT_EQ(lru.InactiveSize(), 3u);
+TEST(ClockTest, ReferencedFramesAgeThroughActiveBeforeEviction) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(8 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, 8 * kPageSize, 9);
+  EXPECT_EQ(kernel.rmap().Census().inactive_anon, 8u) << "fresh pages start inactive";
 
-  std::vector<FrameId> batch;
-  ASSERT_EQ(lru.TakeInactive(2, &batch), 2u);
-  EXPECT_EQ(batch[0], 1u) << "tail of the inactive list is the first inserted (coldest)";
-  EXPECT_EQ(batch[1], 2u);
-
-  lru.PutBack(batch[0], /*active=*/true);  // Referenced: promoted.
-  lru.PutBack(batch[1], /*active=*/false);
-  EXPECT_EQ(lru.ActiveSize(), 1u);
-  EXPECT_EQ(lru.InactiveSize(), 2u);
-
-  lru.Activate(3);
-  EXPECT_EQ(lru.ActiveSize(), 2u);
-  lru.Erase(3);
-  EXPECT_EQ(lru.Size(), 2u);
+  CounterDelta scanned(VmCounter::k_pgscan);
+  CounterDelta activated(VmCounter::k_pgactivate);
+  CounterDelta deactivated(VmCounter::k_pgdeactivate);
+  CounterDelta stolen(VmCounter::k_pgsteal);
+  ASSERT_EQ(kernel.ReclaimMemory(1), 1u);
+  // First revolution: all 8 were referenced (scanned, activated). Second: unreferenced
+  // active pages are deactivated. Third: the first inactive, unreferenced page goes.
+  EXPECT_EQ(activated.Get(), 8u);
+  EXPECT_EQ(deactivated.Get(), 8u);
+  EXPECT_EQ(scanned.Get(), 9u);
+  EXPECT_EQ(stolen.Get(), 1u);
+  reclaim::RmapCensus census = kernel.rmap().Census();
+  EXPECT_EQ(census.active_anon, 0u);
+  EXPECT_EQ(census.inactive_anon, 7u);
+  ExpectPattern(p, va, 8 * kPageSize, 9);
 }
 
-TEST(LruTest, RefaultWithinHorizonCountsAndConsumesShadow) {
-  reclaim::PageLru lru;
+TEST(ClockTest, RefaultWithinHorizonCountsAndConsumesShadow) {
+  SwapSpace swap;
+  SwapSlot slot = swap.WriteOut(nullptr);
+  EXPECT_EQ(swap.ShadowCount(), 1u);
+  EXPECT_EQ(swap.TakeRefaultDistance(slot), 0u) << "nothing was written out since";
+  EXPECT_EQ(swap.ShadowCount(), 0u) << "a shadow is consumed by its refault";
+  EXPECT_EQ(swap.TakeRefaultDistance(slot), UINT64_MAX) << "no shadow, no refault";
+  EXPECT_EQ(swap.TakeRefaultDistance(99), UINT64_MAX) << "never-written slots have none";
+  swap.DecRef(slot);
+
+  // Through the kernel: a page evicted and touched again right away is a workingset
+  // refault. It comes back active and in the workingset, so it outlasts a cold page by
+  // one sweep.
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr va = p.Mmap(2 * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p, va, 2 * kPageSize, 10);
+  ASSERT_EQ(kernel.ReclaimMemory(2), 2u);
+  EXPECT_EQ(kernel.swap_space().ShadowCount(), 2u);
   CounterDelta refaults(VmCounter::k_pgrefault);
-  lru.RecordEviction(/*slot=*/7);
-  EXPECT_EQ(lru.ShadowCount(), 1u);
-  EXPECT_TRUE(lru.NoteRefault(7)) << "distance 0 is always within the workingset";
+  ExpectPattern(p, va, kPageSize, 10);  // One swap-in.
   EXPECT_EQ(refaults.Get(), 1u);
-  EXPECT_EQ(lru.ShadowCount(), 0u) << "a shadow is consumed by its refault";
-  EXPECT_FALSE(lru.NoteRefault(7)) << "no shadow, no refault";
-  EXPECT_FALSE(lru.NoteRefault(99)) << "never-evicted slots are not refaults";
+  EXPECT_EQ(kernel.swap_space().ShadowCount(), 1u);
+  EXPECT_EQ(kernel.rmap().Census().active_anon, 1u);
+
+  // Replace the other page with a fresh one, which starts inactive like a cold swap-in.
+  uint64_t swap_writes = kernel.swap_space().Stats().writes;
+  p.MadviseDontNeed(va + kPageSize, kPageSize);
+  WriteByte(p, va + kPageSize, std::byte{1});
+  EXPECT_EQ(kernel.rmap().Census().inactive_anon, 1u);
+  // Referenced, then unreferenced: the cold page is deactivated and evicted in three
+  // visits, while the refault spends its extra sweep still active.
+  ASSERT_EQ(kernel.ReclaimMemory(1), 1u);
+  EXPECT_EQ(Residency(p, va), 1) << "the workingset refault is still resident";
+  EXPECT_EQ(Residency(p, va + kPageSize), 2);
+  EXPECT_EQ(kernel.swap_space().Stats().writes, swap_writes + 1);
 }
 
 // --- Direct reclaim through the kernel entry point ---
@@ -214,29 +250,82 @@ TEST(ReclaimTest, SharedTableEvictionFaultsBackInAllChildren) {
   ExpectVerifies(kernel);
 }
 
-TEST(ReclaimTest, RmapAllocFailureMakesFrameUnevictableNotLost) {
-#if !ODF_FAULT_INJECT_COMPILED
-  GTEST_SKIP() << "fault-injection hooks compiled out (ODF_FAULT_INJECT=OFF)";
-#endif
+TEST(ReclaimTest, PinnedFrameIsUnevictableNotLost) {
   Kernel kernel;
   Process& p = kernel.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
-  {
-    // The rmap entry for the faulted-in page fails to allocate: the mapping still
-    // registers (accounting stays exact) but the frame goes sticky-unstable.
-    fi::ScopedInjection inject(FiSite::k_rmap_alloc,
-                               FiSiteConfig{.probability = 1.0, .times = 1});
-    WriteByte(p, va, std::byte{0x77});
-  }
-  ExpectVerifies(kernel);  // An injected rmap failure must not unbalance the registry.
+  WriteByte(p, va, std::byte{0x77});
+  // An extra reference the sweep cannot account for (a mid-rollback fork, an I/O pin).
+  AddressSpace& as = p.address_space();
+  FrameId frame = as.walker().Translate(as.pgd(), va, AccessType::kRead).frame;
+  kernel.allocator().IncRef(frame);
 
   uint64_t swap_writes_before = kernel.swap_space().Stats().writes;
-  kernel.ReclaimMemory(1);
-  kernel.ReclaimMemory(1);  // Second pass: the accessed-bit second chance is spent.
+  EXPECT_EQ(kernel.ReclaimMemory(1), 0u);
   EXPECT_EQ(kernel.swap_space().Stats().writes, swap_writes_before)
-      << "the shrinker must refuse rmap-unstable frames";
+      << "the shrinker must refuse frames with references beyond their mappings";
   EXPECT_EQ(ReadByte(p, va), std::byte{0x77});
+  kernel.allocator().DecRef(frame);
   ExpectVerifies(kernel);
+}
+
+// Classic fork gives each sharer its own PTE table, so a frame has one slot per process.
+// Both tables sit at the same chunk, so the sweep finds every slot in one step and
+// evicts the frame from all of them at once.
+TEST(ReclaimTest, ClassicForkSharersAreEvictedWithAllTheirSlots) {
+  constexpr uint64_t kPages = 16;
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr va = parent.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, va, kPages * kPageSize, 11);
+  Process& child = kernel.Fork(parent, ForkMode::kClassic);
+  ASSERT_EQ(kernel.rmap().TotalLocations(), 2 * kPages);
+
+  EXPECT_EQ(kernel.ReclaimMemory(1000), kPages);
+  EXPECT_EQ(kernel.rmap().TotalLocations(), 0u);
+  EXPECT_EQ(kernel.swap_space().Stats().slots_in_use, kPages)
+      << "one slot per frame, referenced from both processes";
+  for (uint64_t i = 0; i < kPages; ++i) {
+    EXPECT_EQ(Residency(parent, va + i * kPageSize), 2);
+    EXPECT_EQ(Residency(child, va + i * kPageSize), 2);
+  }
+  ExpectVerifies(kernel);
+  ExpectPattern(child, va, kPages * kPageSize, 11);
+  ExpectPattern(parent, va, kPages * kPageSize, 11);
+  ExpectVerifies(kernel);
+  kernel.Exit(child, 0);
+  kernel.Wait(parent);
+  kernel.Exit(parent, 0);
+  EXPECT_TRUE(kernel.allocator().AllFree());
+  EXPECT_TRUE(kernel.swap_space().AllFree());
+}
+
+// After mremap in one sharer, a frame's slots sit at two different chunks. The sweep
+// finds them in separate steps, where the refcount never equals the slots found, so the
+// frame stays resident in both — it is never evicted from one slot and not the other.
+TEST(ReclaimTest, MremapInOneSharerNeverEvictsPartially) {
+  constexpr uint64_t kPages = 4;
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  Vaddr va = parent.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(parent, va, kPages * kPageSize, 12);
+  Process& child = kernel.Fork(parent, ForkMode::kClassic);
+  // Block in-place growth and push the child's next mapping past this 2 MiB chunk.
+  child.Mmap(kHugePageSize, kProtRead | kProtWrite);
+  Vaddr moved = child.Mremap(va, kPages * kPageSize, (kPages + 1) * kPageSize);
+  ASSERT_NE(EntryBase(moved, PtLevel::kPmd), EntryBase(va, PtLevel::kPmd));
+
+  EXPECT_EQ(kernel.ReclaimMemory(1000), 0u);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    EXPECT_EQ(Residency(parent, va + i * kPageSize), 1);
+    EXPECT_EQ(Residency(child, moved + i * kPageSize), 1);
+  }
+  EXPECT_EQ(kernel.swap_space().Stats().slots_in_use, 0u);
+  ExpectVerifies(kernel);
+  ExpectPattern(parent, va, kPages * kPageSize, 12);
+  for (uint64_t i = 0; i < kPages * kPageSize; i += 1000) {
+    EXPECT_EQ(ReadByte(child, moved + i), ReadByte(parent, va + i));
+  }
 }
 
 // --- Watermarks and the background daemon ---

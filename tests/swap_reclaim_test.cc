@@ -1,8 +1,10 @@
-// Memory pressure (paper §4 "Robustness"): frame quota, clock reclaim over accessed bits,
+// Memory pressure (paper §4 "Robustness"): frame quota, CLOCK reclaim over accessed bits,
 // the swap device, swap-entry interaction with both fork flavours, and the OOM killer.
 #include <gtest/gtest.h>
 
-#include "src/mm/reclaim.h"
+#include <algorithm>
+
+#include "src/trace/metrics.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -60,12 +62,12 @@ TEST_F(ReclaimTest, ClockSwapsOutColdPagesAfterSecondChance) {
   Vaddr va = p_.Mmap(64 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 64 * kPageSize, 1);
 
-  // Pass 1 clears accessed bits; pass 2 collects cold pages.
-  uint64_t freed1 = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed1, 0u) << "all pages were recently accessed: only second chances";
-  uint64_t freed2 = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed2, 64u);
-  EXPECT_EQ(p_.address_space().stats().pages_swapped_out, 64u);
+  // Every page was just written, so the CLOCK first gives each its second chance
+  // (activate, then deactivate) and only then collects it as cold.
+  uint64_t activated = ReadVm(VmCounter::k_pgactivate);
+  EXPECT_EQ(kernel_.ReclaimMemory(64), 64u);
+  EXPECT_EQ(ReadVm(VmCounter::k_pgactivate) - activated, 64u)
+      << "all pages were recently accessed: each gets a second chance first";
   EXPECT_EQ(kernel_.swap_space().Stats().slots_in_use, 64u);
 
   // Content must survive the round trip through the device (swap-in faults).
@@ -75,34 +77,54 @@ TEST_F(ReclaimTest, ClockSwapsOutColdPagesAfterSecondChance) {
 }
 
 TEST_F(ReclaimTest, AccessedPagesSurviveOnePass) {
-  Vaddr va = p_.Mmap(32 * kPageSize, kProtRead | kProtWrite);
-  FillPattern(p_, va, 32 * kPageSize, 2);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);  // Clear bits.
-  // Touch the first half again: those pages get their accessed bit back.
-  std::vector<std::byte> buffer(16 * kPageSize);
+  constexpr uint64_t kPages = 64;
+  constexpr uint64_t kTouched = 16;
+  Vaddr va = p_.Mmap(kPages * kPageSize, kProtRead | kProtWrite);
+  FillPattern(p_, va, kPages * kPageSize, 2);
+  // The first eviction ages every page through its second chance: all the others are
+  // left inactive with their accessed bits clear.
+  ASSERT_EQ(kernel_.ReclaimMemory(1), 1u);
+  // Touch the first quarter again: those pages get their accessed bit back.
+  std::vector<std::byte> buffer(kTouched * kPageSize);
   ASSERT_TRUE(p_.ReadMemory(va, buffer));
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed, 16u) << "only the untouched half is cold";
-  ExpectPattern(p_, va, 32 * kPageSize, 2);
+  std::vector<uint8_t> residency = p_.Mincore(va, kPages * kPageSize);
+  uint64_t cold = static_cast<uint64_t>(
+      std::count(residency.begin() + kTouched, residency.end(), uint8_t{1}));
+  ASSERT_GE(cold, kPages - kTouched - 1);
+
+  EXPECT_EQ(kernel_.ReclaimMemory(cold), cold) << "only the untouched pages are cold";
+  residency = p_.Mincore(va, kPages * kPageSize);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    EXPECT_EQ(residency[i], i < kTouched ? 1 : 2) << "page " << i;
+  }
+  ExpectPattern(p_, va, kPages * kPageSize, 2);
 }
 
 TEST_F(ReclaimTest, NeverMaterializedPagesAreDroppedWithoutSwap) {
   Vaddr va = p_.Mmap(16 * kPageSize, kProtRead | kProtWrite);
   p_.address_space().PopulateRange(va, 16 * kPageSize);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed, 16u);
+  EXPECT_EQ(kernel_.ReclaimMemory(1000), 16u);
   EXPECT_EQ(kernel_.swap_space().Stats().writes, 0u) << "zero pages need no swap slots";
   EXPECT_EQ(ReadByte(p_, va), std::byte{0});
 }
 
+// The sweep visits a PTE table shared by on-demand-fork once, through whichever sharer
+// reaches it first, and skips it when the other sharer's PMD entry leads to it again.
 TEST_F(ReclaimTest, SharedTablesAreSkipped) {
+  constexpr uint64_t kPages = kHugePageSize / kPageSize;
   Vaddr va = p_.Mmap(kHugePageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, kHugePageSize, 3);
-  kernel_.Fork(p_, ForkMode::kOnDemand);  // Table now shared.
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  EXPECT_EQ(freed, 0u) << "pages under shared PTE tables must not be reclaimed";
+  Process& child = kernel_.Fork(p_, ForkMode::kOnDemand);  // Table now shared.
+  uint64_t scanned = ReadVm(VmCounter::k_pgscan);
+  EXPECT_EQ(kernel_.ReclaimMemory(1000), kPages);
+  // Inactive pages are scanned in the first and third revolution: once each, not once
+  // per sharer.
+  EXPECT_EQ(ReadVm(VmCounter::k_pgscan) - scanned, 2 * kPages);
+  EXPECT_EQ(kernel_.swap_space().Stats().slots_in_use, kPages)
+      << "one swap entry per shared-table slot serves both sharers";
+  ExpectPattern(child, va, kHugePageSize, 3);
+  ExpectPattern(p_, va, kHugePageSize, 3);
+  EXPECT_TRUE(kernel_.swap_space().AllFree());
 }
 
 class SwapForkTest : public ReclaimTest, public ::testing::WithParamInterface<ForkMode> {};
@@ -110,9 +132,7 @@ class SwapForkTest : public ReclaimTest, public ::testing::WithParamInterface<Fo
 TEST_P(SwapForkTest, ForkWithSwappedPagesKeepsCowSemantics) {
   Vaddr va = p_.Mmap(32 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 32 * kPageSize, 4);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  uint64_t freed = ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  ASSERT_EQ(freed, 32u);
+  ASSERT_EQ(kernel_.ReclaimMemory(1000), 32u);
 
   Process& child = kernel_.Fork(p_, GetParam());
   // Both sides fault their own copies in; writes stay private.
@@ -135,8 +155,7 @@ TEST_P(SwapForkTest, ForkWithSwappedPagesKeepsCowSemantics) {
 TEST_P(SwapForkTest, UnmapReleasesSwapSlots) {
   Vaddr va = p_.Mmap(16 * kPageSize, kProtRead | kProtWrite);
   FillPattern(p_, va, 16 * kPageSize, 5);
-  ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000);
-  ASSERT_EQ(ClockReclaimAddressSpace(p_.address_space(), kernel_.swap_space(), 1000), 16u);
+  ASSERT_EQ(kernel_.ReclaimMemory(1000), 16u);
   Process& child = kernel_.Fork(p_, GetParam());
   ASSERT_GT(kernel_.swap_space().Stats().slots_in_use, 0u);
   child.Munmap(va, 16 * kPageSize);
@@ -158,8 +177,6 @@ TEST(MemoryPressureTest, QuotaTriggersTransparentSwapping) {
   kernel.SetMemoryLimitFrames(2048);
   Vaddr va = p.Mmap(12 << 20, kProtRead | kProtWrite);
   FillPattern(p, va, 12 << 20, 6);
-  // The rmap shrinker evicts via reverse-map walks, not per-address-space clock sweeps,
-  // so swap-out shows up in the swap device's ledger rather than per-AS stats.
   EXPECT_GT(kernel.swap_space().Stats().writes, 0u)
       << "filling past the quota must push pages to swap";
   EXPECT_LE(kernel.allocator().Stats().allocated_frames, 2048u);

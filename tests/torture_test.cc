@@ -157,9 +157,6 @@ class TortureDriver {
     fi.Arm(FiSite::k_compound_alloc, FiSiteConfig{.probability = 0.5});
     fi.Arm(FiSite::k_swap_out, FiSiteConfig{.probability = 0.05});
     fi.Arm(FiSite::k_swap_in, FiSiteConfig{.probability = 0.02});
-    // An rmap_alloc failure makes the frame sticky-unevictable for the rest of the run,
-    // so keep it rare — a high rate would pin the pool and starve the pressure variant.
-    fi.Arm(FiSite::k_rmap_alloc, FiSiteConfig{.probability = 0.002});
     fi.Arm(FiSite::k_reclaim_writeback, FiSiteConfig{.probability = 0.05});
     if (arm_mf_) {
       // Injected uncorrectable memory errors (docs/memory-failure.md): each hit hard-
@@ -389,7 +386,7 @@ TEST(TortureTest, RandomizedForkFaultReclaimUnderInjection) {
 
 // The memory-pressure variant (docs/reclaim.md): the pool shrinks to half the default —
 // tight enough that the root's pattern region alone overcommits it — and kswapd runs
-// concurrently with the op mix, so LRU aging, rmap-walk eviction, direct reclaim, and the
+// concurrently with the op mix, so CLOCK aging, sweep-driven eviction, direct reclaim, and the
 // background daemon all fight over the same frames while faults are being injected. The
 // daemon makes the schedule nondeterministic, so there is no replay gate here; the
 // invariants are survival ones: the root is never OOM-picked, its pattern stays
@@ -416,7 +413,7 @@ TEST(TortureTest, MemoryPressureWithKswapdUnderInjection) {
 // The memory-failure variant (docs/memory-failure.md): the full op mix with the mf_ecc
 // site armed, so random accesses consume injected uncorrectable memory errors — each one
 // hard-offlines the touched frame mid-access (splitting huge mappings, quarantining the
-// frame forever) while forks, COW, reclaim, and the other seven sites keep firing. The
+// frame forever) while forks, COW, reclaim, and the other six sites keep firing. The
 // invariants are the robustness gates: zero aborts (every poison surfaces as a typed
 // kHwPoison the driver heals), the root's pattern is byte-identical after healing, the
 // quarantine never leaks back, AllFree() still holds at the end (quarantined frames leave
