@@ -11,9 +11,11 @@
 #ifndef ODF_BENCH_BENCH_COMMON_H_
 #define ODF_BENCH_BENCH_COMMON_H_
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/proc/kernel.h"
@@ -136,6 +138,48 @@ inline void WriteCell(JsonWriter& json, const std::string& cell) {
   json.Value(cell);
 }
 
+// Trimmed stdout of a git command run in the source checkout; empty when git or the
+// checkout is unavailable.
+inline std::string GitOutput(const std::string& args) {
+  std::string command =
+      "git -C '" + std::string(ODF_BENCH_SOURCE_DIR) + "' " + args + " 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return "";
+  }
+  std::string out;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+    out += buffer;
+  }
+  if (pclose(pipe) != 0) {
+    return "";
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+// The same record as perfbench's diagnostics.provenance: which commit (and whether the
+// checkout differed from it when the bench ran), compiler, build type, ODF_* options, nproc.
+// ODF_BENCH_SOURCE_DIR/_BUILD_TYPE/_OPTIONS are defined per target by bench/CMakeLists.txt.
+inline void WriteProvenance(JsonWriter& json) {
+  std::string sha = GitOutput("rev-parse HEAD");
+  std::string dirty = "unknown";
+  if (!sha.empty()) {
+    dirty = GitOutput("status --porcelain --untracked-files=no").empty() ? "0" : "1";
+  }
+  json.Key("provenance").BeginObject();
+  json.Key("source").Value(sha.empty() ? std::string("unknown") : "git:" + sha);
+  json.Key("dirty").Value(dirty);
+  json.Key("compiler").Value(__VERSION__);
+  json.Key("build_type").Value(ODF_BENCH_BUILD_TYPE);
+  json.Key("options").Value(ODF_BENCH_OPTIONS);
+  json.Key("nproc").Value(static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  json.EndObject();
+}
+
 }  // namespace bench_internal
 
 // Writes BENCH_<name>.json next to the benchmark (schema: docs/observability.md). Every
@@ -167,6 +211,7 @@ inline void WriteBenchJson(const std::string& name, const BenchConfig& config,
   json.Key("seconds").Value(config.seconds);
   json.Key("fast").Value(config.fast);
   json.EndObject();
+  bench_internal::WriteProvenance(json);
   json.Key("sections").BeginArray();
   for (const BenchSection& section : sections) {
     json.BeginObject();

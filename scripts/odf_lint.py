@@ -47,12 +47,12 @@ offending line or the line above it — always with a reason):
   gen-before-free
       In src/mm/ and src/reclaim/, dropping frame references after rewriting
       page-table entries (allocator.DecRef / DecRefBatch following a
-      StoreEntry in the same function) requires a generation bump — a TLB
-      Invalidate*/FlushAll or an MmLockTable Bump* — between the rewrite and
-      the drop. "Gen before free" is the one load-bearing invariant of the
-      lock-free read protocol (src/pt/mm_locks.h): a reader that pinned the
-      old frame must fail its generation recheck before the frame can be
-      freed and recycled. Paths exempt by construction (never-published
+      StoreEntry in the same function) requires a generation bump — an
+      MmLockTable InvalidatePage/InvalidateRange/FlushAll — between the
+      rewrite and the drop. "Gen before free" is the one load-bearing
+      invariant of the lock-free read protocol (src/pt/mm_locks.h): a reader
+      that pinned the old frame must fail its generation recheck before the
+      frame can be freed and recycled. Paths exempt by construction (never-published
       frames, exclusive-gate eviction with a deferred flush) carry an allow
       with the argument.
 
@@ -163,7 +163,7 @@ GEN_FREE_RE = re.compile(r"\ballocator\s*(?:\.|->)\s*(?:DecRef|DecRefBatch)\s*\(
 GEN_STORE_RE = re.compile(r"\bStoreEntry\s*\(")
 # ... with no generation bump in between.
 GEN_BUMP_RE = re.compile(
-    r"\b(?:InvalidatePage|InvalidateRange|FlushAll|BumpShard|BumpRange|BumpAll)\s*\("
+    r"\b(?:InvalidatePage|InvalidateRange|FlushAll)\s*\("
 )
 GEN_LOOKBACK = 60
 
@@ -339,9 +339,10 @@ def lint_file(rel_path, findings):
                 report(
                     "gen-before-free",
                     "frame references dropped after a StoreEntry with no generation "
-                    "bump in between — bump the covered shard (TLB Invalidate*/"
-                    "FlushAll) before the free so lock-free readers fail their "
-                    "recheck (gen-before-free, src/pt/mm_locks.h)",
+                    "bump in between — bump the covered shard (MmLockTable "
+                    "InvalidatePage/InvalidateRange/FlushAll) before the free so "
+                    "lock-free readers fail their recheck (gen-before-free, "
+                    "src/pt/mm_locks.h)",
                     column_of(GEN_FREE_RE, raw, code),
                 )
 

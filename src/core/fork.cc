@@ -76,7 +76,7 @@ bool CopyAddressSpace(AddressSpace& parent, AddressSpace& child, ForkMode mode,
   // The parent's cached translations may have lost write permission (PTE-level for classic,
   // PMD-level for on-demand); flush, as the kernel flushes the hardware TLB on fork. On a
   // failed copy the parent may already be partially write-protected, so flush then too.
-  parent.tlb().FlushAll();
+  parent.locks().FlushAll();
   uint64_t elapsed = total.ElapsedNanos();
   if (profile != nullptr) {
     profile->total_ns += elapsed;

@@ -1,6 +1,6 @@
-// AddressSpace: the simulator's mm_struct. Owns the VMA list, the root page table (PGD), the
-// software TLB, and the sharded MM lock table; provides mmap/munmap/mremap/mprotect and
-// pre-faulting.
+// AddressSpace: the simulator's mm_struct. Owns the VMA list, the root page table (PGD) and
+// the sharded MM lock table (whose shard generations are the TLB); provides
+// mmap/munmap/mremap/mprotect and pre-faulting.
 //
 // Thread-safety (docs/debugging.md "Lock order", docs/performance.md "Lock sharding"):
 // every layout-mutating entry point (the mmap family, fork's copy phase, teardown) takes
@@ -22,7 +22,6 @@
 #include "src/mm/vma.h"
 #include "src/phys/frame_allocator.h"
 #include "src/pt/mm_locks.h"
-#include "src/pt/tlb.h"
 #include "src/pt/walker.h"
 #include "src/util/relaxed_counter.h"
 
@@ -44,6 +43,7 @@ struct MmStats {
   util::RelaxedCounter segv_faults;
   util::RelaxedCounter oom_faults;            // Faults failed with kOom (allocation denied).
   util::RelaxedCounter swap_io_faults;        // Faults failed with kSwapIoError.
+  util::RelaxedCounter slow_path_translations;  // Accesses resolved under the locks (L2).
 };
 
 class AddressSpace {
@@ -100,7 +100,6 @@ class AddressSpace {
   VmArea* FindVma(Vaddr va);
   const std::map<Vaddr, VmArea>& vmas() const { return vmas_; }
   FrameId pgd() const { return pgd_; }
-  Tlb& tlb() { return tlb_; }
   Walker& walker() { return walker_; }
   FrameAllocator& allocator() { return *allocator_; }
   SwapSpace* swap_space() { return swap_; }
@@ -109,7 +108,8 @@ class AddressSpace {
 
   // The sharded lock table guarding this address space (src/pt/mm_locks.h): the fault path
   // takes ReadScope + one ShardScope; layout mutators (and fork) take WriteScope; the
-  // lock-free read protocol validates against its shard generations.
+  // lock-free read protocol validates against its shard generations, and every mutator
+  // invalidates translations through it (InvalidatePage/InvalidateRange/FlushAll).
   MmLockTable& locks() { return locks_; }
 
   // Pid of the owning process (0 before attachment); lets mm-layer tracepoints attribute
@@ -139,10 +139,7 @@ class AddressSpace {
   SwapSpace* swap_;
   Walker walker_;
   FrameId pgd_;
-  // locks_ before tlb_: the TLB routes every invalidation's shard-generation bump into the
-  // lock table, so the table must outlive (construct before, destruct after) the TLB.
   MmLockTable locks_;
-  Tlb tlb_{&locks_};
   std::map<Vaddr, VmArea> vmas_;  // Keyed by start address.
   Vaddr mmap_cursor_;
   MmStats stats_;

@@ -114,7 +114,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     // Shared mappings never COW; the write permission was only missing transiently (e.g.
     // after a PTE-table dedication write-protected every entry).
     StoreEntry(slot, entry.WithFlag(kPteWritable | kPteDirty));
-    as.tlb().InvalidatePage(va);
+    as.locks().InvalidatePage(va);
     ++as.stats().cow_reuse_faults;
     CountVm(VmCounter::k_pgfault_cow_reuse);
     ODF_TRACE(fault_cow_reuse, as.owner_pid(), va);
@@ -126,7 +126,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     // Sole owner — reuse the page in place. (A frame still owned by the page cache always
     // has the cache's reference, so refs == 1 implies it is exclusively ours.)
     StoreEntry(slot, entry.WithFlag(kPteWritable | kPteDirty));
-    as.tlb().InvalidatePage(va);
+    as.locks().InvalidatePage(va);
     ++as.stats().cow_reuse_faults;
     CountVm(VmCounter::k_pgfault_cow_reuse);
     ODF_TRACE(fault_cow_reuse, as.owner_pid(), va);
@@ -154,7 +154,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
   // else: the source was never materialised (logical zero) — the copy stays lazy-zero.
   StoreEntry(slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                        kPteDirty));
-  as.tlb().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
+  as.locks().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.
   PutMappedPage(allocator, entry, /*huge=*/false);
   ++as.stats().cow_page_faults;
   CountVm(VmCounter::k_pgfault_cow_page);
@@ -222,7 +222,7 @@ bool SplitHugeMapping(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
   }
   StoreEntry(pmd_slot, Pte::Make(table, kPtePresent | kPteWritable | kPteUser |
                                             (entry.flags() & kPteAccessed)));
-  as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
+  as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
   CountVm(VmCounter::k_fork_degrade_classic);
   ODF_TRACE(fork_degrade_classic, as.owner_pid(), chunk_base,
@@ -247,7 +247,7 @@ bool HugeCowFault(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
 
   if (meta.refcount.load(std::memory_order_acquire) == 1) {
     StoreEntry(pmd_slot, entry.WithFlag(kPteWritable | kPteDirty));
-    as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);
+    as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);
     ++as.stats().cow_reuse_faults;
     CountVm(VmCounter::k_pgfault_cow_reuse);
     ODF_TRACE(fault_cow_reuse, as.owner_pid(), chunk_base, /*ns=*/0, /*huge=*/1);
@@ -271,7 +271,7 @@ bool HugeCowFault(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot) {
   }
   StoreEntry(pmd_slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                            kPteDirty | kPteHuge));
-  as.tlb().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
+  as.locks().InvalidateRange(chunk_base, chunk_base + kHugePageSize);  // Gen-before-free.
   PutMappedPage(allocator, entry, /*huge=*/true);
   ++as.stats().cow_huge_faults;
   CountVm(VmCounter::k_pgfault_cow_huge);
@@ -293,8 +293,6 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
   for (int attempt = 0; attempt < kFaultRetryBudget; ++attempt) {
     Translation t = walker.Translate(as.pgd(), va, access);
     if (t.status == TranslateStatus::kOk) {
-      bool writable_cached = access == AccessType::kWrite;
-      as.tlb().Insert(va, t.frame, writable_cached);
       if (frame_out != nullptr) {
         *frame_out = t.frame;
       }

@@ -171,7 +171,7 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   if (share == 1) {
     allocator.DecRef(dedicated);  // The other sharers went away: the spare is unused.
     StoreEntry(pud_slot, pud.WithFlag(kPteWritable));
-    as.tlb().InvalidateRange(pud_span_base, span_end);
+    as.locks().InvalidateRange(pud_span_base, span_end);
     ++as.stats().pmd_table_fixups;
     CountVm(VmCounter::k_pmd_table_fixup);
     ODF_TRACE(fault_pmd_table_fixup, as.owner_pid(), pud_span_base, shared);
@@ -217,7 +217,7 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   }
   StoreEntry(pud_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pud.flags() & kPteAccessed)));
-  as.tlb().InvalidateRange(pud_span_base, span_end);
+  as.locks().InvalidateRange(pud_span_base, span_end);
   // As in DedicatePteTable: a sharer exiting meanwhile may have left ours the last share.
   if (DropPmdTableReference(allocator, as.swap_space(), shared)) {
     PtEpoch::Global().Drain();
@@ -286,7 +286,7 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
     // previously shared table and the new table become dedicated").
     allocator.DecRef(dedicated);
     StoreEntry(pmd_slot, pmd.WithFlag(kPteWritable));
-    as.tlb().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
+    as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
     ++as.stats().pte_table_fixups;
     CountVm(VmCounter::k_pte_table_fixup);
     ODF_TRACE(fault_pte_table_fixup, as.owner_pid(), chunk_base, shared);
@@ -343,7 +343,7 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
   // at the PMD level, and drop our reference to the shared table.
   StoreEntry(pmd_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
                                                 (pmd.flags() & kPteAccessed)));
-  as.tlb().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
+  as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
   // The share count was >= 2 under the split lock, but an exiting sharer drops its share
   // without that lock (ZapRange), so ours may be the last one by now: drop it the full
   // way, or the shared table and the page references it holds would leak. Like a zap,
@@ -408,7 +408,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
           // (so a lock-free reader's pin-then-generation-recheck can never keep a frame
           // that this drop frees).
           StoreEntry(pud_slot, Pte());
-          as.tlb().InvalidateRange(pud_base, pud_end);
+          as.locks().InvalidateRange(pud_base, pud_end);
           DropPmdTableReference(allocator, as.swap_space(), pud.frame());
           // Skip the rest of this PUD span (the loop increment adds one chunk).
           chunk_base = std::min(pud_end, end) - kPteTableSpan;
@@ -432,7 +432,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       ODF_CHECK(lo == chunk_base && hi == chunk_end)
           << "partial unmap of a huge mapping is not supported";
       StoreEntry(pmd_slot, Pte());
-      as.tlb().InvalidateRange(lo, hi);  // Gen-before-free.
+      as.locks().InvalidateRange(lo, hi);  // Gen-before-free.
       PutMappedPage(allocator, pmd, /*huge=*/true);
       continue;
     }
@@ -449,7 +449,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
                                             RangeHasLiveVma(as, hi, chunk_end));
       if (!remainder_live) {
         StoreEntry(pmd_slot, Pte());
-        as.tlb().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
+        as.locks().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
         DropPteTableReference(allocator, as.swap_space(), table);
         continue;
       }
@@ -458,7 +458,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
 
     if (full_chunk) {
       StoreEntry(pmd_slot, Pte());
-      as.tlb().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
+      as.locks().InvalidateRange(chunk_base, chunk_end);  // Gen-before-free.
       // Last ref: puts every mapped page and swap slot.
       DropPteTableReference(allocator, as.swap_space(), table);
       continue;
@@ -484,7 +484,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
         StoreEntry(slot, Pte());
       }
     }
-    as.tlb().InvalidateRange(lo, hi);  // Gen-before-free: entries above are already clear.
+    as.locks().InvalidateRange(lo, hi);  // Gen-before-free: entries above are already clear.
     allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
     if (TableIsEmpty(allocator, table)) {
       StoreEntry(pmd_slot, Pte());
@@ -545,8 +545,8 @@ void MovePageRange(AddressSpace& as, Vaddr old_start, Vaddr new_start, uint64_t 
     StoreEntry(dst_slot, entry);
     StoreEntry(src_slot, Pte());
   }
-  as.tlb().InvalidateRange(old_start, old_start + length);
-  as.tlb().InvalidateRange(new_start, new_start + length);
+  as.locks().InvalidateRange(old_start, old_start + length);
+  as.locks().InvalidateRange(new_start, new_start + length);
 }
 
 void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
@@ -596,7 +596,7 @@ void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
       }
     }
   }
-  as.tlb().InvalidateRange(start, end);
+  as.locks().InvalidateRange(start, end);
 }
 
 namespace {

@@ -41,20 +41,19 @@ void Kernel::set_default_fork_mode(ForkMode mode) {
   default_fork_mode_ = mode;
 }
 
+void Kernel::FlushAllTlbs() {
+  debug::MutexGuard guard(table_mutex_, g_table_lock_class);
+  for (auto& [pid, process] : processes_) {
+    process->address_space().locks().FlushAll();
+  }
+}
+
 reclaim::ShrinkContext Kernel::MakeShrinkContext() {
   reclaim::ShrinkContext ctx;
   ctx.allocator = &allocator_;
   ctx.swap = &swap_;
   ctx.rmap = &rmap_;
-  // Coarse shootdown: the shrinker rewrote leaf entries (possibly in tables shared across
-  // processes), so every TLB is stale. Runs while the caller still holds the MmGate
-  // exclusively, before any mutator resumes.
-  ctx.flush_tlbs = [this] {
-    debug::MutexGuard guard(table_mutex_, g_table_lock_class);
-    for (auto& [pid, process] : processes_) {
-      process->address_space().tlb().FlushAll();
-    }
-  };
+  ctx.flush_tlbs = [this] { FlushAllTlbs(); };
   return ctx;
 }
 
@@ -64,12 +63,7 @@ mf::MfContext Kernel::MakeMfContext() {
   ctx.swap = &swap_;
   ctx.fs = &fs_;
   ctx.rmap = &rmap_;
-  ctx.flush_tlbs = [this] {
-    debug::MutexGuard guard(table_mutex_, g_table_lock_class);
-    for (auto& [pid, process] : processes_) {
-      process->address_space().tlb().FlushAll();
-    }
-  };
+  ctx.flush_tlbs = [this] { FlushAllTlbs(); };
   return ctx;
 }
 
@@ -240,6 +234,7 @@ Process& Kernel::CreateProcess() {
   auto as = std::make_unique<AddressSpace>(&allocator_, &swap_);
   debug::MutexGuard guard(table_mutex_, g_table_lock_class);
   Pid pid = next_pid_++;
+  replay::AssignSeqNow();  // Under table_mutex_: replay re-allocates pids in seq order.
   auto process = std::make_shared<Process>(this, pid, /*parent=*/0, std::move(as));
   process->fork_mode_ = default_fork_mode_;
   Process& ref = *process;
@@ -304,6 +299,7 @@ Process* Kernel::TryFork(Process& parent, ForkMode mode, ForkProfile* profile) {
     debug::MutexGuard guard(table_mutex_, g_table_lock_class);
     std::erase(forming_, child_as.get());
     Pid pid = next_pid_++;
+    replay::AssignSeqNow();
     auto child = std::make_shared<Process>(this, pid, parent.pid(), std::move(child_as));
     child->fork_mode_ = parent.fork_mode();
     parent.children_.push_back(pid);

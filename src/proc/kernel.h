@@ -153,7 +153,13 @@ class Kernel {
   // the documented lock order.
   void ExitInternal(Process& process, int code, bool oom);
 
-  // Builds the ShrinkContext handed to kswapd and direct reclaim (flush-all-TLBs closure).
+  // The coarse shootdown behind the shrinker's and the mf paths' `flush_tlbs`: the caller
+  // rewrote leaf entries (possibly in tables shared across processes), so every process's
+  // translations are stale. Runs while the caller still holds the MmGate exclusively,
+  // before any mutator resumes.
+  void FlushAllTlbs();
+
+  // Builds the ShrinkContext handed to kswapd and direct reclaim.
   reclaim::ShrinkContext MakeShrinkContext();
 
   // Builds the context handed to the src/mf offline paths.

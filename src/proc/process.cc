@@ -92,7 +92,6 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
         if (cached.gen == locks.ShardGen(current)) {
           FrameId frame = cached.frame;
           FrameId pin = cached.pin;
-          as.tlb().RecordHit();
           if (ecc_trips(frame)) {
             allocator.DecRef(pin);
             return false;
@@ -136,7 +135,6 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
         MmGate::SharedScope gate;
         if (allocator.TryGetRef(pin)) {
           if (locks.ShardGen(current) == g0) {
-            as.tlb().RecordHit();
             if (ecc_trips(t.frame)) {
               allocator.DecRef(pin);
               return false;
@@ -164,18 +162,14 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
       MmLockTable::ReadScope rs(locks);
       MmLockTable::ShardScope shard(locks, current);
       MmGate::SharedScope gate;
-      FrameId frame = kInvalidFrame;
-      if (!as.tlb().Lookup(current, want_write, &frame)) {
-        Translation t = as.walker().Translate(as.pgd(), current, access);
-        if (t.status == TranslateStatus::kOk) {
-          frame = t.frame;
-          as.tlb().Insert(current, frame, want_write);
-        } else {
-          FaultResult result = HandleFault(as, current, access, &frame);
-          if (result != FaultResult::kHandled) {
-            last_fault_result_ = result;
-            return false;
-          }
+      ++as.stats().slow_path_translations;
+      Translation t = as.walker().Translate(as.pgd(), current, access);
+      FrameId frame = t.frame;
+      if (t.status != TranslateStatus::kOk) {
+        FaultResult result = HandleFault(as, current, access, &frame);
+        if (result != FaultResult::kHandled) {
+          last_fault_result_ = result;
+          return false;
         }
       }
       if (ecc_trips(frame)) {

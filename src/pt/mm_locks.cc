@@ -49,25 +49,30 @@ MmLockTable::MmLockTable() {
   MmLockWaitHistogram();
 }
 
-void MmLockTable::BumpRange(Vaddr start, Vaddr end) {
+void MmLockTable::InvalidatePage(Vaddr va) {
+  shards_[ShardOf(va)].gen.fetch_add(1, std::memory_order_seq_cst);
+  CountVm(VmCounter::k_tlb_shootdowns);
+}
+
+void MmLockTable::InvalidateRange(Vaddr start, Vaddr end) {
   if (end <= start) {
     return;
   }
+  CountVm(VmCounter::k_tlb_shootdowns, (end - PageAlignDown(start) + kPageSize - 1) / kPageSize);
   uint64_t first = start >> (kPageShift + kHugePageOrder);
   uint64_t last = (end - 1) >> (kPageShift + kHugePageOrder);
-  if (last - first >= static_cast<uint64_t>(kShards) - 1) {
-    BumpAll();
-    return;
-  }
-  for (uint64_t chunk = first; chunk <= last; ++chunk) {
+  uint64_t covered = std::min<uint64_t>(last - first + 1, kShards);
+  for (uint64_t chunk = first; chunk < first + covered; ++chunk) {
     shards_[chunk & (kShards - 1)].gen.fetch_add(1, std::memory_order_seq_cst);
   }
 }
 
-void MmLockTable::BumpAll() {
+void MmLockTable::FlushAll() {
   for (Shard& shard : shards_) {
     shard.gen.fetch_add(1, std::memory_order_seq_cst);
   }
+  CountVm(VmCounter::k_tlb_flushes);
+  ODF_TRACE(tlb_flush, /*pid=*/0, as_id_);
 }
 
 MmLockTable::WriteScope::WriteScope(MmLockTable& table) : table_(table) {

@@ -5,9 +5,10 @@
 //   MmLockTable   one per AddressSpace — a BRAVO reader/writer gate for whole-AS operations
 //                 (range ops, fork, teardown take it exclusive; fault slow paths take it
 //                 shared) plus 64 range shards, each a 2 MiB-granular mutex and a shard
-//                 *generation* counter. Faults in disjoint shards never contend; a range
-//                 op bumps each covered shard generation ONCE (the batched TLB-shootdown
-//                 generation) instead of flushing per PTE.
+//                 *generation* counter. Faults in disjoint shards never contend. The shard
+//                 generations are the simulator's only TLB: InvalidatePage/InvalidateRange/
+//                 FlushAll bump the covering shard generation(s) — a range op bumps each
+//                 covered shard ONCE (the batched shootdown), never once per PTE.
 //
 //   PtEpoch       a quiescent-state epoch (QSBR) for page-table frames. Lock-free readers
 //                 enter a read section around a table walk; mutators that free a PUBLISHED
@@ -16,15 +17,15 @@
 //                 frees. Unpublished spares (Dedicate* losers) still DecRef directly.
 //
 //   TranslationCache  a per-thread map of (as id, vpn) -> frame, validated by the covering
-//                 shard generation. The hit path is entirely lock-free: probe, pin the
-//                 frame's refcount, recheck the generation, copy.
+//                 shard generation — the one translation cache. The hit path is entirely
+//                 lock-free: probe, pin the frame's refcount, recheck the generation, copy.
 //
 // Lock order (documented in docs/debugging.md): MutationScope -> AS gate -> shard mutex
 // (fault path only, exactly one) -> MmGate shared -> split locks / rmap /
-// allocator / LRU. The generation protocol's one load-bearing invariant: a mutator bumps
-// the covered shard generation AFTER rewriting entries and BEFORE dropping the frame
-// references those entries held ("gen before free"), so a reader whose pin precedes its
-// successful generation recheck can never hold a stale frame.
+// allocator / LRU. The generation protocol's one load-bearing invariant: a mutator
+// invalidates (bumps the covered shard generation) AFTER rewriting entries and BEFORE
+// dropping the frame references those entries held ("gen before free"), so a reader whose
+// pin precedes its successful generation recheck can never hold a stale frame.
 #ifndef ODF_SRC_PT_MM_LOCKS_H_
 #define ODF_SRC_PT_MM_LOCKS_H_
 
@@ -86,14 +87,16 @@ class ODF_CAPABILITY("as_gate") MmLockTable {
     return shards_[ShardOf(va)].gen.load(std::memory_order_seq_cst);
   }
 
-  // Mutator-side generation bumps (the batched shootdown). Callers must respect
-  // gen-before-free: entries already rewritten, frame references not yet dropped.
-  void BumpShard(Vaddr va) {
-    shards_[ShardOf(va)].gen.fetch_add(1, std::memory_order_seq_cst);
-  }
-  // One bump per covered shard, however many pages the range spans.
-  void BumpRange(Vaddr start, Vaddr end);
-  void BumpAll();
+  // The invalidation API (the TLB-shootdown analog). Call AFTER rewriting the entries and
+  // BEFORE dropping the frame references they held (gen-before-free).
+  //
+  // One page (invlpg analog): bumps the covering shard; counts one vmstat tlb_shootdowns.
+  void InvalidatePage(Vaddr va);
+  // A virtual range: bumps each covered shard once, however many pages the range spans —
+  // O(covered shards). Counts the range's pages in vmstat tlb_shootdowns.
+  void InvalidateRange(Vaddr start, Vaddr end);
+  // Full flush (CR3 reload analog): bumps every shard; counts one vmstat tlb_flushes.
+  void FlushAll();
 
   // Whole-AS reader (fault slow path). Fast-path cost: one padded fetch_add + one load.
   // The BravoGate token protocol underneath is below the analysis (like std::atomic);
@@ -232,7 +235,7 @@ class ODF_CAPABILITY("epoch") PtEpoch {
   std::vector<RetiredTable> retired_ ODF_GUARDED_BY(retire_mu_);
 };
 
-// Per-thread translation cache: the L0 in front of the per-AS software TLB. Entries are
+// Per-thread translation cache: the simulator's one translation cache. Entries are
 // validated by (as id, vpn, shard generation); a hit costs a probe, a refcount pin, and a
 // generation recheck — no locks, no shared cache lines.
 struct TransCacheEntry {

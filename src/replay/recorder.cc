@@ -134,6 +134,10 @@ void Recorder::MaybeRotate(ThreadStream& stream) {
 
 namespace detail {
 
+uint64_t TakeSeq() {
+  return Recorder::Global().next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 void RecordOp(OpKind kind, int32_t pid, const uint64_t* args, uint32_t argc, uint64_t status,
               uint64_t result, const std::byte* payload, uint64_t payload_length) {
   Recorder& recorder = Recorder::Global();
@@ -147,7 +151,7 @@ void RecordOp(OpKind kind, int32_t pid, const uint64_t* args, uint32_t argc, uin
     stream.op_sample_countdown = kOpSamplePeriod - 1;
     t0 = trace::NowNanos();
   }
-  uint64_t seq = recorder.next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t seq = t_op_seq != 0 ? t_op_seq : TakeSeq();
   // Non-sampled ops reuse the last timestamp (a 1-byte zero delta): op order is carried by
   // seq, and skipping the clock read keeps the append path cheap.
   uint64_t ts = sampled ? t0 : stream.state.last_ts;

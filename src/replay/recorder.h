@@ -3,7 +3,8 @@
 // benchmarks. See docs/replay.md.
 //
 // Recording granularity is the public Kernel/Process op surface: each entry point opens an
-// OpScope, which assigns the op its global sequence number and captures args + outcome.
+// OpScope, which assigns the op its global sequence number (when the op closes, or earlier
+// via AssignSeqNow) and captures args + outcome.
 // Nested ops (TouchRange's internal WriteMemory, Fork's internal TryFork, the OOM killer's
 // Exit inside ReclaimMemory) are suppressed by a per-thread depth counter — only depth-0
 // ops are schedule entries, so replaying them re-executes the nested work naturally.
@@ -69,15 +70,33 @@ constexpr bool RecordingActive() { return false; }
 namespace detail {
 
 // Flush path called from OpScope's destructor (recorder.cc). Assigns the global sequence
-// number and appends the encoded op + any trace events the thread's ring gained since the
-// last drain.
+// number (unless AssignSeqNow already did) and appends the encoded op + any trace events
+// the thread's ring gained since the last drain.
 void RecordOp(OpKind kind, int32_t pid, const uint64_t* args, uint32_t argc, uint64_t status,
               uint64_t result, const std::byte* payload, uint64_t payload_length);
+
+// Takes the next global sequence number (recorder.cc).
+uint64_t TakeSeq();
 
 // Per-thread op nesting depth; only depth-0 scopes record.
 inline thread_local uint32_t t_op_depth = 0;
 
+// Sequence number already taken for this thread's open depth-0 op; 0 = take it at close.
+inline thread_local uint64_t t_op_seq = 0;
+
 }  // namespace detail
+
+// Fixes the sequence number of this thread's open depth-0 op now rather than when it
+// closes. Kernel calls it where it allocates a pid, under the process-table lock, so ops
+// that allocate pids concurrently are numbered in pid order — the order in which a
+// single-threaded replay allocates them again.
+inline void AssignSeqNow() {
+#if ODF_REPLAY_COMPILED
+  if (RecordingActive() && detail::t_op_depth != 0 && detail::t_op_seq == 0) {
+    detail::t_op_seq = detail::TakeSeq();
+  }
+#endif
+}
 
 // RAII capture of one kernel operation. Constructed at every recordable entry point;
 // sites fill in args and outcome before the scope closes:
@@ -107,6 +126,9 @@ class OpScope {
     --detail::t_op_depth;
     if (active_) {
       detail::RecordOp(kind_, pid_, args_, argc_, status_, result_, payload_, payload_length_);
+    }
+    if (detail::t_op_depth == 0) {
+      detail::t_op_seq = 0;
     }
   }
   OpScope& Arg(uint64_t value) {
@@ -247,6 +269,7 @@ class Recorder {
  private:
   friend void detail::RecordOp(OpKind, int32_t, const uint64_t*, uint32_t, uint64_t, uint64_t,
                                const std::byte*, uint64_t);
+  friend uint64_t detail::TakeSeq();
 
   // One rotated (closed) chunk, ordered globally by rotation index for black-box dropping.
   struct RetainedChunk {

@@ -1,6 +1,6 @@
 // A copyable, implicitly-convertible relaxed atomic counter.
 //
-// Statistics structs (MmStats, TlbStats) were plain uint64_t fields while one
+// Statistics structs (MmStats and friends) were plain uint64_t fields while one
 // thread drove each address space; with sharded MM locking, disjoint-range
 // faults bump the same counters concurrently. RelaxedCounter keeps the call
 // sites (`++stats.x`, `stats.x += n`, `uint64_t v = stats.x`) source-compatible

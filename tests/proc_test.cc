@@ -4,6 +4,7 @@
 
 #include "src/apps/lambda.h"
 #include "src/debug/verify.h"
+#include "src/trace/metrics.h"
 #include "tests/test_util.h"
 
 namespace odf {
@@ -111,21 +112,22 @@ TEST_F(ProcTest, TlbAcceleratesRepeatedAccess) {
   Process& p = kernel_.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
   WriteByte(p, va, std::byte{1});
-  const TlbStats& stats = p.address_space().tlb().stats();
-  uint64_t hits_before = stats.hits;
+  const MmStats& stats = p.address_space().stats();
+  uint64_t slow_before = stats.slow_path_translations;
   for (int i = 0; i < 100; ++i) {
     ReadByte(p, va);
   }
-  EXPECT_GE(stats.hits - hits_before, 99u) << "hot-page reads must be TLB hits";
+  EXPECT_EQ(stats.slow_path_translations - slow_before, 0u)
+      << "hot-page reads must hit the per-thread translation cache, never the locked path";
 }
 
 TEST_F(ProcTest, TlbFlushedOnFork) {
   Process& p = kernel_.CreateProcess();
   Vaddr va = p.Mmap(kPageSize, kProtRead | kProtWrite);
   WriteByte(p, va, std::byte{1});
-  uint64_t flushes_before = p.address_space().tlb().stats().flushes;
+  uint64_t flushes_before = ReadVm(VmCounter::k_tlb_flushes);
   kernel_.Fork(p, ForkMode::kOnDemand);
-  EXPECT_GT(p.address_space().tlb().stats().flushes, flushes_before)
+  EXPECT_GT(ReadVm(VmCounter::k_tlb_flushes), flushes_before)
       << "the parent's TLB must be flushed when its PMDs lose write permission";
   // And the stale cached writable translation must not bypass COW:
   WriteByte(p, va, std::byte{2});

@@ -1,11 +1,15 @@
-// Tests for PTE encoding, address geometry, the software walker, and the TLB.
+// Tests for PTE encoding, address geometry, the software walker, and TLB invalidation
+// (MmLockTable shard generations).
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "src/phys/frame_allocator.h"
 #include "src/pt/geometry.h"
+#include "src/pt/mm_locks.h"
 #include "src/pt/pte.h"
-#include "src/pt/tlb.h"
 #include "src/pt/walker.h"
+#include "src/trace/metrics.h"
 
 namespace odf {
 namespace {
@@ -144,55 +148,57 @@ TEST_F(WalkerTest, HugeEntryTranslatesInteriorPages) {
   EXPECT_EQ(t.frame, head + 5);
 }
 
-TEST(TlbTest, HitAfterInsert) {
-  Tlb tlb;
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(0x1000, false, &frame));
-  tlb.Insert(0x1000, 42, /*writable=*/false);
-  EXPECT_TRUE(tlb.Lookup(0x1000, false, &frame));
-  EXPECT_EQ(frame, 42u);
-}
-
-TEST(TlbTest, WriteLookupRequiresWritableEntry) {
-  Tlb tlb;
-  tlb.Insert(0x1000, 42, /*writable=*/false);
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(0x1000, true, &frame));
-  tlb.Insert(0x1000, 42, /*writable=*/true);
-  EXPECT_TRUE(tlb.Lookup(0x1000, true, &frame));
-}
-
-TEST(TlbTest, InvalidatePageDropsOnlyThatPage) {
-  Tlb tlb;
-  tlb.Insert(0x1000, 1, false);
-  tlb.Insert(0x2000, 2, false);
-  tlb.InvalidatePage(0x1000);
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(0x1000, false, &frame));
-  EXPECT_TRUE(tlb.Lookup(0x2000, false, &frame));
-}
-
-TEST(TlbTest, FlushAllDropsEverything) {
-  Tlb tlb;
-  for (Vaddr va = 0; va < 64 * kPageSize; va += kPageSize) {
-    tlb.Insert(va, static_cast<FrameId>(va >> kPageShift), true);
+std::array<uint64_t, MmLockTable::kShards> ShardGens(const MmLockTable& locks) {
+  std::array<uint64_t, MmLockTable::kShards> gens{};
+  for (int i = 0; i < MmLockTable::kShards; ++i) {
+    gens[static_cast<size_t>(i)] = locks.ShardGen(static_cast<Vaddr>(i) * kHugePageSize);
   }
-  tlb.FlushAll();
-  FrameId frame = kInvalidFrame;
-  for (Vaddr va = 0; va < 64 * kPageSize; va += kPageSize) {
-    EXPECT_FALSE(tlb.Lookup(va, false, &frame));
+  return gens;
+}
+
+TEST(MmLockTableTest, InvalidateRangeBumpsEachCoveredShardOnce) {
+  MmLockTable locks;
+  auto before = ShardGens(locks);
+  uint64_t shootdowns_before = ReadVm(VmCounter::k_tlb_shootdowns);
+  uint64_t flushes_before = ReadVm(VmCounter::k_tlb_flushes);
+  // 6 MiB starting in shard 10: shards 10, 11 and 12 — not a full flush, however many
+  // pages the range spans.
+  Vaddr start = 10 * kHugePageSize;
+  locks.InvalidateRange(start, start + 3 * kHugePageSize);
+  auto after = ShardGens(locks);
+  for (size_t i = 0; i < before.size(); ++i) {
+    bool covered = i >= 10 && i <= 12;
+    EXPECT_EQ(after[i] - before[i], covered ? 1u : 0u) << "shard " << i;
+  }
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_shootdowns) - shootdowns_before, 3 * kEntriesPerTable)
+      << "a range shootdown counts its pages";
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_flushes), flushes_before);
+
+  // 130 chunks wrap around the 64 shards twice; each shard is still bumped once.
+  before = after;
+  locks.InvalidateRange(kHugePageSize, 131 * kHugePageSize);
+  after = ShardGens(locks);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 1u) << "shard " << i;
   }
 }
 
-TEST(TlbTest, DirectMapConflictEvicts) {
-  Tlb tlb;
-  Vaddr a = 0x1000;
-  Vaddr b = a + Tlb::kEntries * kPageSize;  // Same slot.
-  tlb.Insert(a, 1, false);
-  tlb.Insert(b, 2, false);
-  FrameId frame = kInvalidFrame;
-  EXPECT_FALSE(tlb.Lookup(a, false, &frame));
-  EXPECT_TRUE(tlb.Lookup(b, false, &frame));
+TEST(MmLockTableTest, PageInvalidationBumpsOneShardAndFlushAllBumpsEvery) {
+  MmLockTable locks;
+  auto before = ShardGens(locks);
+  locks.InvalidatePage(5 * kHugePageSize + 3 * kPageSize);
+  auto after = ShardGens(locks);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], i == 5 ? 1u : 0u) << "shard " << i;
+  }
+  uint64_t flushes_before = ReadVm(VmCounter::k_tlb_flushes);
+  before = after;
+  locks.FlushAll();
+  after = ShardGens(locks);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], 1u) << "shard " << i;
+  }
+  EXPECT_EQ(ReadVm(VmCounter::k_tlb_flushes) - flushes_before, 1u);
 }
 
 }  // namespace
