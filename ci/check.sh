@@ -17,6 +17,8 @@
 #   scripts/odf_lint.py      repo-specific rules (see its docstring)
 #   clang-tidy               over src/ when the binary exists (skipped otherwise —
 #                            the container image may not ship it)
+# Benchmark:
+#   perfbench/selftest.py    every BENCHMARK.json workload at tiny size (`perfbench`)
 #
 # The run ends with a "gates NOT exercised" section naming every gate that skipped on this
 # toolchain (no clang++, no clang-tidy, a label or preset that selected zero tests). Skips
@@ -104,12 +106,22 @@ fi
 # Lock-sharding smoke (docs/performance.md "Lock sharding & TLB generations"): the fig09b
 # bench in fast mode drives K faulting threads in parallel over disjoint ranges of ONE
 # shared address space — a multi-threaded end-to-end pass through the sharded AS locks,
-# epoch-guarded walks, and TLB generations that the unit suites exercise piecewise. Any
+# the translation cache, and TLB generations that the unit suites exercise piecewise. Any
 # refcount/ordering bug on those paths trips an ODF_CHECK/AllFree abort here.
 if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
   note "fig09b multi-thread smoke (default preset, ODF_BENCH_FAST=1)"
   if ! ODF_BENCH_FAST=1 ODF_BENCH_JSON=0 ./build/bench/fig09b_concurrent_faults; then
     FAILURES+=("fig09b smoke")
+  fi
+fi
+
+# The repo benchmark's self-test (BENCHMARK.json, perfbench/): every workload at tiny size
+# must pass its correctness checks and emit exactly the declared metrics. It builds its own
+# tree (.bench_build/) on first use.
+if [[ -z "$ONLY" || "$ONLY" == "perfbench" ]]; then
+  note "perfbench self-test (all workloads, tiny size)"
+  if ! python3 perfbench/selftest.py; then
+    FAILURES+=("perfbench selftest")
   fi
 fi
 
@@ -148,7 +160,7 @@ fi
 # build the default configuration with the thread-safety analysis promoted to errors —
 # every GUARDED_BY/REQUIRES/scoped-capability contract in the tree is checked at compile
 # time — then run the negative-compile harness, which proves the gate actually rejects
-# the six violation classes (and accepts the positive control). Both self-skip on
+# the five violation classes (and accepts the positive control). Both self-skip on
 # GCC-only containers; the annotations compile to nothing there.
 if [[ -z "$ONLY" || "$ONLY" == "thread-safety" ]]; then
   if command -v clang++ >/dev/null 2>&1; then

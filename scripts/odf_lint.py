@@ -5,7 +5,7 @@ These rules complement the Clang thread-safety analysis (-Werror=thread-safety,
 see docs/debugging.md "Static lock-discipline analysis"): the capability
 annotations in src/util/thread_annotations.h prove hold-contracts the compiler
 can see; the rules below encode the protocols it cannot — cross-function
-ordering, epoch-guarded walks, and which directory owns which primitive.
+ordering and which directory owns which primitive.
 
 Rules (each suppressible per line with `// odf-lint: allow(<rule>)` on the
 offending line or the line above it — always with a reason):
@@ -34,15 +34,6 @@ offending line or the line above it — always with a reason):
       every GUARDED_BY/REQUIRES contract downstream of it silently stops
       being checked. src/util/ itself is exempt — that is where the wrappers
       bottom out on the std primitives.
-
-  lockfree-walk-guard
-      A call to Walker::TranslateLockFree must sit inside a PtEpoch::ReadGuard
-      scope (the guard must appear within the preceding lines of the call).
-      The lock-free walk dereferences page-table frames that a concurrent
-      unmap may retire; only the epoch guard keeps retired tables backed until
-      the walk is out (src/pt/mm_locks.h). The compiler enforces this too
-      (ODF_REQUIRES_SHARED(PtEpoch::Global())) when building with Clang; this
-      rule keeps the contract checked under GCC-only containers.
 
   gen-before-free
       In src/mm/ and src/reclaim/, dropping frame references after rewriting
@@ -150,12 +141,6 @@ RAW_STD_MUTEX_RE = re.compile(
     r"shared_timed_mutex|condition_variable(?:_any)?|lock_guard|unique_lock|"
     r"shared_lock|scoped_lock)\b"
 )
-
-# lockfree-walk-guard: a call site (never the qualified definition, which has no
-# object expression). The guard must appear within this many preceding lines.
-LOCKFREE_CALL_RE = re.compile(r"(?:\.|->)\s*TranslateLockFree\s*\(")
-LOCKFREE_GUARD_RE = re.compile(r"\bPtEpoch::ReadGuard\b")
-LOCKFREE_LOOKBACK = 30
 
 # gen-before-free: a frame-reference drop through the allocator...
 GEN_FREE_RE = re.compile(r"\ballocator\s*(?:\.|->)\s*(?:DecRef|DecRefBatch)\s*\(")
@@ -307,20 +292,6 @@ def lint_file(rel_path, findings):
                 "analysis sees the capability",
                 column_of(RAW_STD_MUTEX_RE, raw, code),
             )
-
-        if LOCKFREE_CALL_RE.search(code):
-            lo = max(0, index - LOCKFREE_LOOKBACK)
-            guarded = any(
-                LOCKFREE_GUARD_RE.search(stripped[i]) for i in range(lo, index)
-            )
-            if not guarded:
-                report(
-                    "lockfree-walk-guard",
-                    "TranslateLockFree call without a PtEpoch::ReadGuard in the "
-                    "preceding lines — the lock-free walk may dereference retired "
-                    "page-table frames (src/pt/mm_locks.h)",
-                    column_of(LOCKFREE_CALL_RE, raw, code),
-                )
 
         if in_gen_dir and not is_header and GEN_FREE_RE.search(code):
             rewrote = False

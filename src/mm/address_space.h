@@ -43,7 +43,7 @@ struct MmStats {
   util::RelaxedCounter segv_faults;
   util::RelaxedCounter oom_faults;            // Faults failed with kOom (allocation denied).
   util::RelaxedCounter swap_io_faults;        // Faults failed with kSwapIoError.
-  util::RelaxedCounter slow_path_translations;  // Accesses resolved under the locks (L2).
+  util::RelaxedCounter slow_path_translations;  // Cache misses resolved by the locked walk.
 };
 
 class AddressSpace {
@@ -108,7 +108,7 @@ class AddressSpace {
 
   // The sharded lock table guarding this address space (src/pt/mm_locks.h): the fault path
   // takes ReadScope + one ShardScope; layout mutators (and fork) take WriteScope; the
-  // lock-free read protocol validates against its shard generations, and every mutator
+  // translation cache validates against its shard generations, and every mutator
   // invalidates translations through it (InvalidatePage/InvalidateRange/FlushAll).
   MmLockTable& locks() { return locks_; }
 

@@ -61,7 +61,7 @@ enum class DegradeFlavor : uint64_t {
 // denied allocation yields kOom and a failed swap-device read yields kSwapIoError, with the
 // page tables left consistent — nothing is ever half-installed. The retry loop is bounded;
 // a chain that does not converge yields kRetryExhausted instead of aborting.
-// Lock contract (the L2 slow path in Process::AccessMemory): the per-AS gate shared
+// Lock contract (the locked walk in Process::AccessMemory): the per-AS gate shared
 // (layout is stable), the covering 2 MiB shard (this range's faults are serialized), and
 // the MmGate shared (the evictor is excluded). See docs/debugging.md for the order.
 FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access,

@@ -95,10 +95,11 @@ bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // lock-free reader can pass its generation recheck.
   // odf-lint: allow(gen-before-free)
   allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
-  // The table was published (linked into at least one live tree), so a lock-free walker
-  // may still be reading its (now empty) entries: defer the frame free past the grace
-  // period. The caller drains the epoch before its leak checks can observe the deferral.
-  PtEpoch::Global().Retire(&allocator, table);
+  // Freed at once: the caller holds a lock that excludes every walker that can still
+  // reach this table (docs/performance.md "Freeing a page table"). No translation caches
+  // a table frame, so the free owes no generation bump of its own.
+  // odf-lint: allow(gen-before-free)
+  allocator.DecRef(table);
   return true;
 }
 
@@ -128,7 +129,9 @@ bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // bumped the covered generations.
   // odf-lint: allow(gen-before-free)
   allocator.DecRefBatch(std::span<const FrameId>(huge_heads.data(), huge_count));
-  PtEpoch::Global().Retire(&allocator, table);  // Published table: epoch-deferred free.
+  // Freed at once, by the same rule as in DropPteTableReference.
+  // odf-lint: allow(gen-before-free)
+  allocator.DecRef(table);
   return true;
 }
 
@@ -219,9 +222,7 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
                                                 (pud.flags() & kPteAccessed)));
   as.locks().InvalidateRange(pud_span_base, span_end);
   // As in DedicatePteTable: a sharer exiting meanwhile may have left ours the last share.
-  if (DropPmdTableReference(allocator, as.swap_space(), shared)) {
-    PtEpoch::Global().Drain();
-  }
+  DropPmdTableReference(allocator, as.swap_space(), shared);
   ++as.stats().pmd_table_cow_faults;
   CountVm(VmCounter::k_pmd_table_cow);
   if (tracing) {
@@ -346,11 +347,8 @@ FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
   as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
   // The share count was >= 2 under the split lock, but an exiting sharer drops its share
   // without that lock (ZapRange), so ours may be the last one by now: drop it the full
-  // way, or the shared table and the page references it holds would leak. Like a zap,
-  // settle the deferred table free before returning.
-  if (DropPteTableReference(allocator, as.swap_space(), shared)) {
-    PtEpoch::Global().Drain();
-  }
+  // way, or the shared table and the page references it holds would leak.
+  DropPteTableReference(allocator, as.swap_space(), shared);
   ++as.stats().pte_table_cow_faults;
   CountVm(VmCounter::k_pte_table_cow);
   if (tracing) {
@@ -491,9 +489,6 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       DropPteTableReference(allocator, as.swap_space(), table);
     }
   }
-  // Epoch-deferred table frees settle before the zap returns: callers (and their leak
-  // checks) rely on the allocator accounting being exact once the range op completes.
-  PtEpoch::Global().Drain();
 }
 
 void MovePageRange(AddressSpace& as, Vaddr old_start, Vaddr new_start, uint64_t length) {
@@ -619,18 +614,16 @@ void FreeTableRecursive(FrameAllocator& allocator, SwapSpace* swap, FrameId tabl
     FreeTableRecursive(allocator, swap, entry.frame(), NextLevel(level));
     StoreEntry(&entries[i], Pte());
   }
-  // Published (reachable from the live PGD until a moment ago), so a lock-free walker may
-  // still hold a pointer into it: epoch-defer the free like every other table teardown.
-  PtEpoch::Global().Retire(&allocator, table);
+  // Teardown: no walker of this address space runs (see AddressSpace::TearDown), and no
+  // translation caches a table frame.
+  // odf-lint: allow(gen-before-free)
+  allocator.DecRef(table);
 }
 
 }  // namespace
 
 void FreePageTables(AddressSpace& as) {
   FreeTableRecursive(as.allocator(), as.swap_space(), as.pgd(), PtLevel::kPgd);
-  // Leak checks (and standalone-allocator destruction) follow immediately; settle the
-  // deferred frees now.
-  PtEpoch::Global().Drain();
 }
 
 }  // namespace odf

@@ -23,13 +23,14 @@ util::Mutex& PtSplitLock(FrameId table);
 enum class AllocPolicy { kNoFail, kTry };
 
 // Drops one address-space reference to a PTE table (§3.5). The last dropper releases the
-// page references held on behalf of all sharers (§3.6) and retires the table frame
-// (an epoch-deferred free). Returns true when that happened.
+// page references held on behalf of all sharers (§3.6) and frees the table frame at once.
+// The caller holds a lock that excludes every walker still able to reach the table
+// (docs/performance.md "Freeing a page table"). Returns true when that happened.
 bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table);
 
 // Drops one reference to a PMD table (the §4 huge-page extension: kOnDemandHuge shares PMD
 // tables). The last dropper releases everything the table references — huge compound pages
-// and PTE-table references — and retires the table frame. Returns true when that happened.
+// and PTE-table references — and frees the table frame. Returns true when that happened.
 bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table);
 
 // Copy-on-write of a shared PMD table for `as` (§4 extension): analogous to

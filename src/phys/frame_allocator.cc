@@ -551,8 +551,8 @@ void FrameAllocator::IncRef(FrameId frame) {
 
 bool FrameAllocator::TryGetRef(FrameId frame) {
   PageMeta& meta = GetMeta(frame);
-  // No freed-frame/tail BUG_ONs here: this is called speculatively from the lock-free read
-  // path, where racing a free (and even pinning a reused frame id) is expected and handled
+  // No freed-frame/tail BUG_ONs here: this is called speculatively on a translation-cache
+  // hit, where racing a free (and even pinning a reused frame id) is expected and handled
   // by the caller's shard-generation recheck. A zero count — frame free, mid-free, or a
   // compound tail — simply fails the pin.
   uint32_t count = meta.refcount.load(std::memory_order_relaxed);

@@ -89,14 +89,14 @@ class FrameAllocator {
   // checks see every transition.
   void IncRef(FrameId frame);
 
-  // Speculative pin for the lock-free read path (the get_page_unless_zero analog): CASes
+  // Speculative pin for a translation-cache hit (the get_page_unless_zero analog): CASes
   // the refcount up only while it is observably nonzero, so a frame mid-free is never
   // resurrected. Returns false when the count was zero. Callers resolve compound heads
   // before pinning (tails keep refcount 0 and correctly fail) and MUST validate the pin
   // against the covering shard generation before trusting the frame: a pin can land on a
   // freed-and-reused frame id, which is harmless (the +1/-1 is net zero on whatever the
   // frame is now) exactly because the generation recheck rejects the stale translation.
-  // Release via DecRef(frame) outside any PtEpoch read section.
+  // Release via DecRef(frame).
   [[nodiscard]] bool TryGetRef(FrameId frame);
 
   // Adds `count` references at once (huge-page split: the head absorbs one reference per

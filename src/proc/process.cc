@@ -37,7 +37,7 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     const uint64_t vpn = current >> kPageShift;
 
     // Copies one page-chunk to/from `frame`. Always runs with the frame kept alive (a
-    // refcount pin on the fast paths, the shard+gate locks on the slow path) and the
+    // refcount pin on a cache hit, the shard+gate locks on the locked walk) and the
     // MmGate held shared (excludes the evictor mid-copy).
     auto copy_chunk = [&](FrameId frame) {
       if (want_write) {
@@ -60,10 +60,10 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
 #if ODF_MEMORY_FAILURE_COMPILED
     // The injected machine check (fi site mf_ecc): the "hardware" reports an uncorrectable
     // ECC error on the very frame this access resolved to. Consulted exactly once per
-    // resolved page on EVERY path (fast, lock-free, slow), so the recorded decision stream
-    // is identical no matter which path a replay happens to take. MemoryFailure upgrades
-    // any shared gate hold to exclusive for the containment work (mm_gate.h), and the
-    // access that consumed the poison is the one that fails — BUS_MCEERR_AR delivery.
+    // resolved page on both paths (cache hit, locked walk), so the recorded decision
+    // stream is identical no matter which path a replay happens to take. MemoryFailure
+    // upgrades any shared gate hold to exclusive for the containment work (mm_gate.h), and
+    // the access that consumed the poison is the one that fails — BUS_MCEERR_AR delivery.
     auto ecc_trips = [&](FrameId frame) {
       if (!fi::ShouldInject(FiSite::k_mf_ecc)) {
         return false;
@@ -76,11 +76,10 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
     auto ecc_trips = [&](FrameId) { return false; };
 #endif
 
-    bool page_done = false;
-
-    // L0 — per-thread translation cache (mm_locks.h). Entirely lock-free: tag probe, pin
-    // the cached frame's refcount, recheck the covering shard generation. Writes hit only
-    // entries that a WRITE inserted (dirty bit already set at insert time).
+    // Tier 1 — per-thread translation cache (mm_locks.h), the TLB analog. Entirely
+    // lock-free: tag probe, pin the cached frame's refcount, recheck the covering shard
+    // generation. Writes hit only entries that a WRITE inserted (dirty bit already set at
+    // insert time).
     TransCacheEntry& cached = TranslationCache::SlotFor(as_id, vpn);
     if (cached.as_id == as_id && cached.vpn == vpn && (!want_write || cached.write_ok) &&
         cached.gen == locks.ShardGen(current)) {
@@ -98,66 +97,18 @@ bool Process::AccessMemory(Vaddr va, std::byte* buffer, uint64_t length, AccessT
           }
           copy_chunk(frame);
           allocator.DecRef(pin);
-          page_done = true;
-        } else {
-          allocator.DecRef(cached.pin);
+          done += chunk;
+          continue;
         }
+        allocator.DecRef(cached.pin);
       }
-    }
-    if (page_done) {
-      done += chunk;
-      continue;
     }
 
-    // L1 — lock-free read-side walk (reads only; writes need A/D maintenance and COW
-    // checks). Generation first, then the walk under a PtEpoch guard (retired tables on
-    // the path are still backed memory), then pin + generation recheck outside the guard.
-    if (!want_write) {
-      uint64_t g0 = locks.ShardGen(current);
-      Translation t;
-      bool walked = false;
-      {
-        PtEpoch::ReadGuard guard;
-        if (guard.ok()) {
-          t = as.walker().TranslateLockFree(as.pgd(), current);
-          walked = true;
-        }
-      }
-      if (walked && t.status == TranslateStatus::kOk) {
-        // Pin target: the PMD-entry head for huge mappings (its tails carry no refcount);
-        // the leaf frame itself for 4 KiB. A split-compound tail mapped as a 4 KiB PTE
-        // has refcount 0 — the pin fails and the slow path (which may resolve the head
-        // under locks) serves it instead.
-        FrameId pin =
-            t.huge ? t.frame - static_cast<FrameId>((current >> kPageShift) &
-                                                    ((1ULL << kHugePageOrder) - 1))
-                   : t.frame;
-        MmGate::SharedScope gate;
-        if (allocator.TryGetRef(pin)) {
-          if (locks.ShardGen(current) == g0) {
-            if (ecc_trips(t.frame)) {
-              allocator.DecRef(pin);
-              return false;
-            }
-            copy_chunk(t.frame);
-            allocator.DecRef(pin);
-            cached = TransCacheEntry{as_id, vpn, g0, t.frame, pin, /*write_ok=*/false};
-            page_done = true;
-          } else {
-            allocator.DecRef(pin);
-          }
-        }
-      }
-    }
-    if (page_done) {
-      done += chunk;
-      continue;
-    }
-
-    // L2 — locked slow path: AS gate shared (excludes layout mutators and fork), exactly
-    // one 2 MiB-shard mutex (serializes faults on this range only — disjoint-range faults
-    // proceed in parallel), MmGate shared (excludes the evictor). Lock order per
-    // docs/debugging.md: AS gate -> shard -> MmGate.
+    // Tier 2 — the locked walk, taken by every cache miss (read or write): AS gate shared
+    // (excludes layout mutators and fork), exactly one 2 MiB-shard mutex (serializes
+    // faults on this range only — disjoint-range faults proceed in parallel), MmGate
+    // shared (excludes the evictor). Lock order per docs/debugging.md: AS gate -> shard
+    // -> MmGate. The walk sets accessed bits and refills the cache.
     {
       MmLockTable::ReadScope rs(locks);
       MmLockTable::ShardScope shard(locks, current);

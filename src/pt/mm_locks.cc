@@ -1,7 +1,6 @@
 #include "src/pt/mm_locks.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "src/debug/debug.h"
 #include "src/trace/metrics.h"
@@ -12,7 +11,6 @@ namespace odf {
 namespace {
 
 debug::LockClass g_as_shard_lock_class("mm::AsShard");
-debug::LockClass g_pt_epoch_retire_lock_class("mm::PtEpochRetire");
 
 LatencyHistogram& MmLockWaitHistogram() {
   static LatencyHistogram& histogram =
@@ -108,119 +106,6 @@ MmLockTable::WriteScope::~WriteScope() {
     }
   }
   ODF_CHECK(false) << "AS write-gate release without a matching TLS hold";
-}
-
-PtEpoch& PtEpoch::Global() {
-  static PtEpoch epoch;
-  return epoch;
-}
-
-std::atomic<uint64_t>* PtEpoch::ClaimThreadSlot() {
-  struct ThreadSlot {
-    std::atomic<uint64_t>* epoch = nullptr;
-    std::atomic<bool>* claimed = nullptr;
-    ~ThreadSlot() {
-      if (claimed != nullptr) {
-        epoch->store(0, std::memory_order_release);
-        claimed->store(false, std::memory_order_release);
-      }
-    }
-  };
-  thread_local ThreadSlot t_slot = [this] {
-    ThreadSlot slot;
-    for (ReaderSlot& candidate : slots_) {
-      bool expected = false;
-      if (candidate.claimed.compare_exchange_strong(expected, true,
-                                                    std::memory_order_acq_rel)) {
-        slot.epoch = &candidate.epoch;
-        slot.claimed = &candidate.claimed;
-        break;
-      }
-    }
-    return slot;  // epoch == nullptr when all slots are taken: caller uses the slow path.
-  }();
-  return t_slot.epoch;
-}
-
-PtEpoch::ReadGuard::ReadGuard() : slot_(Global().ClaimThreadSlot()) {
-  if (slot_ == nullptr) {
-    return;
-  }
-  // Publish the entry epoch, then revalidate: if the global epoch advanced between the
-  // load and the publication, a concurrent Drain may already have scanned this slot as
-  // idle, so re-publish at the newer epoch (at which point any table retired under the
-  // older epoch is guaranteed unreachable from a fresh walk).
-  PtEpoch& global = Global();
-  uint64_t entered = global.epoch_.load(std::memory_order_seq_cst);
-  for (;;) {
-    slot_->store(entered, std::memory_order_seq_cst);
-    uint64_t now = global.epoch_.load(std::memory_order_seq_cst);
-    if (now == entered) {
-      break;
-    }
-    entered = now;
-  }
-}
-
-PtEpoch::ReadGuard::~ReadGuard() {
-  if (slot_ != nullptr) {
-    slot_->store(0, std::memory_order_release);
-  }
-}
-
-void PtEpoch::Retire(FrameAllocator* allocator, FrameId table) {
-  uint64_t tag;
-  {
-    debug::MutexGuard guard(retire_mu_, g_pt_epoch_retire_lock_class);
-    tag = epoch_.load(std::memory_order_relaxed);
-    retired_.push_back({allocator, table, tag});
-  }
-  // Bump AFTER linking the entry: readers that entered at `tag` or earlier hold the grace
-  // period open; readers entering at tag+1 can no longer reach the (already unlinked) table.
-  epoch_.fetch_add(1, std::memory_order_seq_cst);
-}
-
-void PtEpoch::Drain() {
-  {
-    debug::MutexGuard guard(retire_mu_, g_pt_epoch_retire_lock_class);
-    if (retired_.empty()) {
-      return;
-    }
-  }
-  for (;;) {
-    uint64_t min_active = UINT64_MAX;
-    for (ReaderSlot& slot : slots_) {
-      uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
-      if (e != 0) {
-        min_active = std::min(min_active, e);
-      }
-    }
-    std::vector<RetiredTable> free_now;
-    {
-      debug::MutexGuard guard(retire_mu_, g_pt_epoch_retire_lock_class);
-      auto keep = retired_.begin();
-      for (auto it = retired_.begin(); it != retired_.end(); ++it) {
-        if (it->tag < min_active) {
-          free_now.push_back(*it);
-        } else {
-          *keep++ = *it;
-        }
-      }
-      retired_.erase(keep, retired_.end());
-    }
-    for (const RetiredTable& entry : free_now) {
-      entry.allocator->DecRef(entry.table);
-    }
-    {
-      debug::MutexGuard guard(retire_mu_, g_pt_epoch_retire_lock_class);
-      if (retired_.empty()) {
-        return;
-      }
-    }
-    // A reader that entered before the oldest retire is still inside its (lock-free,
-    // bounded) section; epoch sections never block, so this terminates.
-    std::this_thread::yield();
-  }
 }
 
 }  // namespace odf

@@ -1,4 +1,4 @@
-// Sharded address-space locking, page-table QSBR, and the per-thread translation cache.
+// Sharded address-space locking and the per-thread translation cache.
 //
 // This is the lock plane behind the "shatter the global MM locks" refactor (ROADMAP item 1):
 //
@@ -10,15 +10,15 @@
 //                 FlushAll bump the covering shard generation(s) — a range op bumps each
 //                 covered shard ONCE (the batched shootdown), never once per PTE.
 //
-//   PtEpoch       a quiescent-state epoch (QSBR) for page-table frames. Lock-free readers
-//                 enter a read section around a table walk; mutators that free a PUBLISHED
-//                 table Retire() it instead of DecRef'ing directly, and Drain() at the end
-//                 of the range op waits for the grace period and performs the deferred
-//                 frees. Unpublished spares (Dedicate* losers) still DecRef directly.
-//
 //   TranslationCache  a per-thread map of (as id, vpn) -> frame, validated by the covering
 //                 shard generation — the one translation cache. The hit path is entirely
 //                 lock-free: probe, pin the frame's refcount, recheck the generation, copy.
+//                 Every miss, read or write, takes the locked walk, which refills it.
+//
+// Page-table frames are freed at once (DecRef), never deferred: each site that frees a
+// published table holds a lock that excludes every walker still able to reach it — the
+// covering shard, the AS gate exclusive, or the MmGate exclusive (docs/performance.md
+// "Freeing a page table" lists the sites and the one known exception).
 //
 // Lock order (documented in docs/debugging.md): MutationScope -> AS gate -> shard mutex
 // (fault path only, exactly one) -> MmGate shared -> split locks / rmap /
@@ -32,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <source_location>
-#include <vector>
 
 #include "src/debug/lockdep.h"
 #include "src/phys/frame_allocator.h"
@@ -170,69 +169,6 @@ class ODF_CAPABILITY("as_gate") MmLockTable {
   util::BravoGate gate_;
   uint64_t as_id_;
   Shard shards_[kShards];
-};
-
-// Quiescent-state epoch reclamation for published page-table frames. Global: shared ODF
-// tables are reachable from several address spaces, and one retire list is simplest.
-//
-// The epoch is a capability ("epoch", always via PtEpoch::Global() in attribute
-// expressions): ReadGuard acquires it shared, Walker::TranslateLockFree requires it
-// shared, and Drain() excludes it — "lock-free walk outside a read section" and "drain
-// from inside a read section" are both compile errors under -Wthread-safety.
-class ODF_CAPABILITY("epoch") PtEpoch {
- public:
-  static PtEpoch& Global();
-
-  // A lock-free read section. The section must stay lock-free (walk + refcount pin only,
-  // no blocking) so Drain()'s grace wait terminates. `ok()` is false when the thread-slot
-  // table is exhausted (hundreds of concurrent reader threads) — callers then skip the
-  // lock-free path and fault through the locked slow path instead. (The analysis treats
-  // the section as entered either way — slot exhaustion only *widens* the guard, it never
-  // lets a walk escape it; the odf_lint lockfree-walk-guard rule covers the scoping.)
-  class ODF_SCOPED_CAPABILITY ReadGuard {
-   public:
-    ReadGuard() ODF_ACQUIRE_SHARED(Global());
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-    ~ReadGuard() ODF_RELEASE_GENERIC();
-
-    bool ok() const { return slot_ != nullptr; }
-
-   private:
-    std::atomic<uint64_t>* slot_;
-  };
-
-  // Defers `allocator->DecRef(table)` until every reader that might have entered before
-  // now has exited. Only for tables that were PUBLISHED (linked into a live tree).
-  void Retire(FrameAllocator* allocator, FrameId table);
-
-  // Waits out the grace period and performs all deferred frees. Called at the end of every
-  // operation that retired tables, while the caller still excludes new structural mutators;
-  // afterwards FrameAllocator::AllFree()-style accounting is exact again. Must not be
-  // called from inside a ReadGuard (statically enforced: excludes the epoch capability).
-  void Drain() ODF_EXCLUDES(Global());
-
- private:
-  static constexpr int kMaxReaderSlots = 256;
-
-  struct RetiredTable {
-    FrameAllocator* allocator;
-    FrameId table;
-    uint64_t tag;
-  };
-
-  struct alignas(64) ReaderSlot {
-    std::atomic<uint64_t> epoch{0};  // 0 = idle.
-    std::atomic<bool> claimed{false};
-  };
-
-  friend class ReadGuard;
-  std::atomic<uint64_t>* ClaimThreadSlot();
-
-  std::atomic<uint64_t> epoch_{1};
-  ReaderSlot slots_[kMaxReaderSlots];
-  util::Mutex retire_mu_;
-  std::vector<RetiredTable> retired_ ODF_GUARDED_BY(retire_mu_);
 };
 
 // Per-thread translation cache: the simulator's one translation cache. Entries are

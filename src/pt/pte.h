@@ -99,10 +99,11 @@ class Pte {
 // modifies them under the table's split lock (exactly the situation hardware handles with
 // cache coherence). atomic_ref makes this well-defined C++ at zero cost on x86.
 //
-// Ordering: stores are release and loads are acquire so that a lock-free reader (the
-// epoch-guarded walk in Process::AccessMemory) that observes a present entry also observes
-// the initialized contents of the table or data frame it points to. On x86 both compile to
-// the same plain MOVs the previous relaxed pair did.
+// Ordering: stores are release and loads are acquire so that a walker that does not hold
+// the writer's lock — a locked walk in one 2 MiB shard reading an upper-level link that a
+// fault in another shard of the same address space just installed, or a sharer reading a
+// shared table — and observes a present entry also observes the initialized contents of
+// the table or data frame it points to. On x86 both compile to plain MOVs.
 inline Pte LoadEntry(const uint64_t* slot) {
   return Pte(std::atomic_ref<const uint64_t>(*slot).load(std::memory_order_acquire));
 }

@@ -92,57 +92,6 @@ Translation Walker::Translate(FrameId pgd, Vaddr va, AccessType access) {
   return result;
 }
 
-Translation Walker::TranslateLockFree(FrameId pgd, Vaddr va) {
-  Translation result;
-  FrameId table = pgd;
-  for (int l = 0; l < kPtLevels; ++l) {
-    PtLevel level = static_cast<PtLevel>(l);
-    uint64_t* entries = allocator_->TableEntries(table);
-    uint64_t* slot = &entries[TableIndex(va, level)];
-    Pte entry = LoadEntry(slot);
-    result.fault_level = level;
-    if (!entry.IsPresent()) {
-      result.status = TranslateStatus::kNotPresent;
-      return result;
-    }
-    // Leaf accessed bit: required for the clock/second-chance protocol (a page served by
-    // this walk was referenced and must survive the next reclaim pass). CAS, never
-    // fetch_or — this walk races PTE rewrites by design, and a blind OR on an entry that
-    // was concurrently turned into a swap entry would corrupt the swap-slot payload. A
-    // lost CAS just means someone rewrote the entry; the caller's pin + shard-generation
-    // recheck rejects the stale translation anyway. No dirty stores (read-only walk) and
-    // no ODF_VM_BUG_ON leaf checks (the races those catch are benign here).
-    if (level == PtLevel::kPmd && entry.IsHuge()) {
-      if (!entry.IsAccessed()) {
-        Pte expected = entry;  // CasEntry updates `expected` on failure; keep the snapshot.
-        CasEntry(slot, expected, entry.WithFlag(kPteAccessed));
-      }
-      uint64_t offset = (va >> kPageShift) & ((1ULL << kHugePageOrder) - 1);
-      result.status = TranslateStatus::kOk;
-      result.frame = entry.frame() + static_cast<FrameId>(offset);
-      result.pte_table = kInvalidFrame;
-      result.huge = true;
-      result.slot = slot;
-      return result;
-    }
-    if (level == PtLevel::kPte) {
-      if (!entry.IsAccessed()) {
-        Pte expected = entry;
-        CasEntry(slot, expected, entry.WithFlag(kPteAccessed));
-      }
-      result.status = TranslateStatus::kOk;
-      result.frame = entry.frame();
-      result.pte_table = table;
-      result.slot = slot;
-      return result;
-    }
-    result.pte_table = table;
-    table = entry.frame();
-  }
-  ODF_CHECK(false) << "unreachable walk state";
-  return result;
-}
-
 uint64_t* Walker::FindEntry(FrameId pgd, Vaddr va, PtLevel level) {
   FrameId table = pgd;
   for (int l = 0; l < kPtLevels; ++l) {

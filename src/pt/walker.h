@@ -9,9 +9,7 @@
 
 #include "src/phys/frame_allocator.h"
 #include "src/pt/geometry.h"
-#include "src/pt/mm_locks.h"
 #include "src/pt/pte.h"
-#include "src/util/thread_annotations.h"
 
 namespace odf {
 
@@ -39,15 +37,6 @@ class Walker {
   // Full translation with hardware side effects (accessed/dirty bits), as the CPU would do.
   // Does NOT handle faults; callers route failures to the mm fault handler.
   Translation Translate(FrameId pgd, Vaddr va, AccessType access);
-
-  // Side-effect-free read translation for the epoch-guarded lock-free fast path: no
-  // accessed/dirty stores, no debug-vm leaf invariants (both would misfire on the benign
-  // races the caller's pin-and-generation-recheck protocol is designed to reject). The
-  // caller must hold a PtEpoch read guard so retired tables on the walked path are still
-  // backed by live memory, and must validate the result against the covering shard
-  // generation before trusting the returned frame.
-  Translation TranslateLockFree(FrameId pgd, Vaddr va)
-      ODF_REQUIRES_SHARED(PtEpoch::Global());
 
   // Returns a pointer to the entry for `va` at `level`, or nullptr if an intermediate table
   // is missing. No side effects.

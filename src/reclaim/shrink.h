@@ -48,9 +48,9 @@ struct ShrinkContext {
 
 // One reclaim round: runs the CLOCK from the hand until `want` frames are freed or four
 // revolutions are done — enough to take any frame from just-referenced to evicted, since
-// the gate holds off every fault (only a lock-free read can set an accessed bit again,
-// which keeps that page resident). Then flushes TLBs once if any entry changed. Returns
-// frames freed.
+// the gate holds off every access (every memory access holds it shared, so nothing can set
+// an accessed bit mid-round). Then flushes TLBs once if any entry changed. Returns frames
+// freed.
 uint64_t ReclaimPages(ShrinkContext& ctx, uint64_t want) ODF_REQUIRES(MmGate::Global());
 
 }  // namespace reclaim

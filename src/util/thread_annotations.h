@@ -1,13 +1,12 @@
 // Clang thread-safety capability annotations (docs/debugging.md "Static
 // lock-discipline analysis").
 //
-// The PR 8 locking discipline — "fault slow path holds the AS gate shared plus exactly
-// one shard", "TranslateLockFree only inside a PtEpoch read section", "shrinker/verifier/
-// offline hold the MmGate exclusive" — is enforced at runtime by lockdep and TSan, both
-// of which need the buggy interleaving to actually execute. These macros express the same
-// contracts as Clang *capability* attributes so that under `clang++ -Wthread-safety`
-// (the `thread-safety` preset / ci gate, -Werror) a violation is a compile error on every
-// build, not a 2 a.m. sanitizer report.
+// The locking discipline — "fault slow path holds the AS gate shared plus exactly one
+// shard", "shrinker/verifier/offline hold the MmGate exclusive" — is enforced at runtime
+// by lockdep and TSan, both of which need the buggy interleaving to actually execute.
+// These macros express the same contracts as Clang *capability* attributes so that under
+// `clang++ -Wthread-safety` (the `thread-safety` preset / ci gate, -Werror) a violation is
+// a compile error on every build, not a 2 a.m. sanitizer report.
 //
 // Usage surface (see src/util/mutex.h for the annotated primitives):
 //
@@ -16,7 +15,6 @@
 //   int count_ ODF_GUARDED_BY(mutex_);                    field needs mutex_ held
 //   void Compact() ODF_REQUIRES(mutex_);                  caller must hold exclusively
 //   uint64_t Gen() const ODF_REQUIRES_SHARED(gate_);      caller must hold at least shared
-//   void Drain() ODF_EXCLUDES(epoch_);                    caller must NOT hold
 //
 // On a non-Clang compiler (the container default is GCC) every macro expands to nothing:
 // the annotations are zero-cost documentation and the build is byte-identical. Under
@@ -47,7 +45,7 @@
 // --- Type annotations -------------------------------------------------------
 
 // Marks a class as a capability (lockable resource). The string names the kind in
-// diagnostics ("mutex", "shared_mutex", "epoch", ...).
+// diagnostics ("mutex", "shared_mutex", "as_gate", ...).
 #define ODF_CAPABILITY(x) ODF_THREAD_ANNOTATION(capability(x))
 
 // Marks an RAII class whose constructor acquires and destructor releases a capability.
@@ -89,10 +87,6 @@
 #define ODF_TRY_ACQUIRE(...) ODF_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define ODF_TRY_ACQUIRE_SHARED(...) \
   ODF_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
-
-// Caller must NOT hold the capability (non-reentrancy / deadlock-avoidance contract,
-// e.g. PtEpoch::Drain must not run inside a read section).
-#define ODF_EXCLUDES(...) ODF_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 // Declares (without checking) that the capability is held — for runtime-verified facts
 // the analysis cannot see, e.g. "the reentrant WriteScope above me owns the gate".

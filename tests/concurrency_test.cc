@@ -129,7 +129,7 @@ TEST(ConcurrencyTest, SharingLineageFaultsInParallel) {
 TEST(ConcurrencyTest, DisjointFaultsOverlappingForksUnderReclaim) {
   // The sharded-locking stress mix (docs/performance.md "Lock sharding & TLB
   // generations"): N faulter threads hammer DISJOINT 2 MiB-aligned slices of ONE address
-  // space (they should ride the shard locks and lock-free read path, almost never
+  // space (they should ride the shard locks and the translation cache, almost never
   // contending), while a forker thread repeatedly forks that same process — a whole-AS
   // exclusive operation overlapping every faulter's range — and kswapd plus a direct
   // reclaimer run the evictor side against the mutators. No memory limit is set, so free

@@ -23,18 +23,6 @@ void RawStdMutex() {
   mu.lock();  // odf-lint: allow(raw-std-mutex)
 }
 
-void LockFreeWalkGuarded(Walker& walker) {
-  PtEpoch::ReadGuard guard;
-  auto t = walker.TranslateLockFree(pgd, va);  // guard above: no finding
-  (void)t;
-}
-
-void LockFreeWalkAllowed(Walker& walker) {
-  // odf-lint: allow(lockfree-walk-guard)
-  auto t = walker.TranslateLockFree(pgd, va);
-  (void)t;
-}
-
 void GenBeforeFreeOrdered(Allocator& allocator, MmLockTable& locks, uint64_t* slot) {
   StoreEntry(slot, Pte());
   locks.InvalidatePage(va);  // bump between rewrite and free: no finding

@@ -20,11 +20,6 @@ void RawStdMutex() {
   std::lock_guard<std::mutex> guard(g_mutex);  // raw-std-mutex (+ naked-lock)
 }
 
-void LockFreeWalkNoGuard(Walker& walker) {
-  auto t = walker.TranslateLockFree(pgd, va);  // lockfree-walk-guard
-  (void)t;
-}
-
 void GenBeforeFreeViolation(Allocator& allocator, uint64_t* slot) {
   StoreEntry(slot, Pte());
   allocator.DecRef(frame);  // gen-before-free: rewrite above, no bump between

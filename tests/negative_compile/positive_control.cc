@@ -6,7 +6,6 @@
 // attributes would silently compile the annotations to nothing.
 #include "src/mm/fault.h"
 #include "src/pt/mm_locks.h"
-#include "src/pt/walker.h"
 #include "src/pt/mm_gate.h"
 #include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
@@ -34,12 +33,6 @@ odf::FaultResult DriveFault(odf::AddressSpace& as, odf::Vaddr va) {
   odf::MmLockTable::ShardScope shard(as.locks(), va);
   odf::MmGate::SharedScope gate;
   return odf::HandleFault(as, va, odf::AccessType::kRead);
-}
-
-// Case 3 done right: the lock-free walk under an epoch read guard.
-odf::Translation Walk(odf::Walker& walker, odf::FrameId pgd, odf::Vaddr va) {
-  odf::PtEpoch::ReadGuard guard;
-  return walker.TranslateLockFree(pgd, va);
 }
 
 // Cases 4/5 done right: one shard at a time; scoped acquisition pairs the release.

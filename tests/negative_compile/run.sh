@@ -4,8 +4,8 @@
 #
 # Each tests/negative_compile/case*.cc commits one lock-discipline violation
 # against the REAL repo headers — unguarded field write, fault path without its
-# shard, epoch walk without a read guard, double shard acquire, release without
-# acquire, shared hold where exclusive is required — and must be REJECTED by
+# shard, double shard acquire, release without acquire, shared hold where
+# exclusive is required — and must be REJECTED by
 # `clang++ -Werror=thread-safety`, with the rejection attributable to the
 # thread-safety analysis (not a stray syntax error). positive_control.cc uses the
 # same APIs correctly and must compile CLEAN, proving the annotations are present,

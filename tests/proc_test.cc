@@ -119,6 +119,21 @@ TEST_F(ProcTest, TlbAcceleratesRepeatedAccess) {
   }
   EXPECT_EQ(stats.slow_path_translations - slow_before, 0u)
       << "hot-page reads must hit the per-thread translation cache, never the locked path";
+
+  // Read first: a fresh on-demand-fork child reads the page through the shared PTE table.
+  // Its cache is cold, so the first read takes the locked walk once, which refills it.
+  Process& child = kernel_.Fork(p, ForkMode::kOnDemand);
+  const MmStats& child_stats = child.address_space().stats();
+  slow_before = child_stats.slow_path_translations;
+  EXPECT_EQ(ReadByte(child, va), std::byte{1});
+  EXPECT_EQ(child_stats.slow_path_translations - slow_before, 1u)
+      << "a read miss in the translation cache must take the locked walk";
+  slow_before = child_stats.slow_path_translations;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(ReadByte(child, va), std::byte{1});
+  }
+  EXPECT_EQ(child_stats.slow_path_translations - slow_before, 0u)
+      << "the locked walk must refill the cache for the reads that follow";
 }
 
 TEST_F(ProcTest, TlbFlushedOnFork) {
