@@ -11,6 +11,8 @@
 #ifndef ODF_BENCH_BENCH_COMMON_H_
 #define ODF_BENCH_BENCH_COMMON_H_
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -109,6 +111,24 @@ inline std::vector<double> TimeForks(Kernel& kernel, Process& parent, ForkMode m
   }
   return times_ms;
 }
+
+// Host minor page faults this process has taken (getrusage RUSAGE_SELF): the host layer
+// under a simulated fault, e.g. the first touch of a frame's arena page. Start one next to a
+// Stopwatch and read Elapsed() when the timed region ends.
+class HostFaultCounter {
+ public:
+  HostFaultCounter() : start_(Now()) {}
+  uint64_t Elapsed() const { return Now() - start_; }
+
+  static uint64_t Now() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<uint64_t>(usage.ru_minflt);
+  }
+
+ private:
+  uint64_t start_;
+};
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref) {
   std::printf("\n=== %s ===\n", title.c_str());

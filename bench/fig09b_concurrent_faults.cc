@@ -25,6 +25,7 @@ namespace {
 struct FaultPoint {
   double faults_per_sec = 0;
   uint64_t faults = 0;
+  uint64_t host_faults = 0;  // Host minor faults during the timed faulting phases.
 };
 
 // One (mode, thread-count) data point: repeat {fork K children serially, fault over them
@@ -46,6 +47,7 @@ FaultPoint RunPoint(ForkMode mode, int threads, uint64_t bytes_per_child, double
       children.push_back(&kernel.Fork(parent, mode));
     }
 
+    HostFaultCounter host_faults;
     Stopwatch sw;
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(threads));
@@ -59,6 +61,7 @@ FaultPoint RunPoint(ForkMode mode, int threads, uint64_t bytes_per_child, double
       worker.join();
     }
     measured += sw.ElapsedSeconds();
+    point.host_faults += host_faults.Elapsed();
     point.faults += pages * static_cast<uint64_t>(threads);
 
     for (Process* child : children) {
@@ -91,6 +94,7 @@ FaultPoint RunSameAsPoint(int threads, uint64_t bytes_per_thread, double seconds
   while (measured < seconds) {
     Process& child = kernel.Fork(parent, ForkMode::kOnDemand);
 
+    HostFaultCounter host_faults;
     Stopwatch sw;
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(threads));
@@ -104,6 +108,7 @@ FaultPoint RunSameAsPoint(int threads, uint64_t bytes_per_thread, double seconds
       worker.join();
     }
     measured += sw.ElapsedSeconds();
+    point.host_faults += host_faults.Elapsed();
     point.faults += pages_per_thread * static_cast<uint64_t>(threads);
 
     kernel.Exit(child, 0);
@@ -126,8 +131,8 @@ void Run() {
               static_cast<unsigned long long>(bytes_per_child >> 20), seconds_per_point,
               std::thread::hardware_concurrency());
 
-  TablePrinter table({"Threads", "fork (faults/s)", "on-demand-fork (faults/s)",
-                      "ODF/fork"});
+  TablePrinter table({"Threads", "fork (faults/s)", "on-demand-fork (faults/s)", "ODF/fork",
+                      "fork host faults", "ODF host faults"});
   for (int threads : {1, 2, 4, 8}) {
     FaultPoint classic =
         RunPoint(ForkMode::kClassic, threads, bytes_per_child, seconds_per_point);
@@ -136,8 +141,8 @@ void Run() {
     table.AddRow({std::to_string(threads),
                   TablePrinter::FormatDouble(classic.faults_per_sec, 0),
                   TablePrinter::FormatDouble(odf.faults_per_sec, 0),
-                  TablePrinter::FormatDouble(odf.faults_per_sec / classic.faults_per_sec,
-                                             2)});
+                  TablePrinter::FormatDouble(odf.faults_per_sec / classic.faults_per_sec, 2),
+                  std::to_string(classic.host_faults), std::to_string(odf.host_faults)});
   }
   table.Print();
 
@@ -148,7 +153,7 @@ void Run() {
   std::printf("\nSame-AS disjoint-range COW faults (%llu MiB per thread, one shared "
               "on-demand child):\n",
               static_cast<unsigned long long>(bytes_per_thread >> 20));
-  TablePrinter same_as({"Threads", "faults/s", "vs 1T"});
+  TablePrinter same_as({"Threads", "faults/s", "vs 1T", "host faults"});
   double base = 0;
   for (int threads : {1, 2, 4, 8}) {
     FaultPoint point = RunSameAsPoint(threads, bytes_per_thread, seconds_per_point);
@@ -157,12 +162,22 @@ void Run() {
     }
     same_as.AddRow({std::to_string(threads),
                     TablePrinter::FormatDouble(point.faults_per_sec, 0),
-                    TablePrinter::FormatDouble(point.faults_per_sec / base, 2)});
+                    TablePrinter::FormatDouble(point.faults_per_sec / base, 2),
+                    std::to_string(point.host_faults)});
   }
   same_as.Print();
 
+  // The whole run's host minor faults, setup and teardown included.
+  uint64_t whole_run = HostFaultCounter::Now();
+  TablePrinter host({"Scope", "host minor faults"});
+  host.AddRow({"whole run", std::to_string(whole_run)});
+  std::printf("\nHost minor faults: timed phases per row above; whole run %llu\n",
+              static_cast<unsigned long long>(whole_run));
+
   WriteBenchJson("fig09b_concurrent_faults", config,
-                 {{"concurrent_faults", &table}, {"same_as_disjoint_ranges", &same_as}});
+                 {{"concurrent_faults", &table},
+                  {"same_as_disjoint_ranges", &same_as},
+                  {"host_faults", &host}});
 }
 
 }  // namespace

@@ -18,14 +18,13 @@ std::string DescribePage(const PageMeta& meta, FrameId frame) {
   out << "page[frame=" << frame << " refcount=" << meta.refcount.load(std::memory_order_relaxed)
       << " pt_share=" << meta.pt_share_count.load(std::memory_order_relaxed) << " flags=0x"
       << std::hex << static_cast<unsigned>(meta.flags) << " reserved=0x"
-      << static_cast<unsigned>(meta.reserved) << std::dec
-      << " order=" << static_cast<unsigned>(meta.order);
+      << static_cast<unsigned>(meta.reserved) << std::dec;
   if (meta.compound_head == kInvalidFrame) {
     out << " head=invalid";
   } else {
     out << " head=" << meta.compound_head;
   }
-  out << (meta.data.load(std::memory_order_relaxed) != nullptr ? " data" : " nodata") << "]";
+  out << (meta.written.load(std::memory_order_relaxed) != 0 ? " written" : " unwritten") << "]";
   return out.str();
 }
 

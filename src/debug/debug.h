@@ -11,14 +11,15 @@
 //
 //   ODF_VM_BUG_ON_PAGE(cond, meta, frame) << "context";
 //       Like ODF_VM_BUG_ON but appends a dump_page()-style rendering of the frame's
-//       PageMeta (flags/refcount/pt_share/order/compound_head) to the abort message.
+//       PageMeta (flags/refcount/pt_share/compound_head/written) to the abort message.
 //
 //   ODF_VM_POISON(...) / poison constants below:
-//       Freed frames carry a canary in PageMeta::reserved and their data buffers are
-//       filled with kPoisonByte before release; allocation re-checks the canary and the
-//       zeroed counters, catching stale IncRef/DecRef/flag writes on freed frames at the
-//       next allocation (use-after-free of the *data* bytes is delegated to ASan — the
-//       buffers are really freed, so any touch through a stale pointer is a heap UAF).
+//       Freed frames carry a canary in PageMeta::reserved and their written bytes are
+//       filled with kPoisonByte at free; allocation re-checks the canary and the zeroed
+//       counters, catching stale IncRef/DecRef/flag writes on freed frames at the next
+//       allocation. Use-after-free of the *data* bytes is ASan's: the allocator poisons a
+//       frame's arena bytes at free and unpoisons them at allocation, so under the
+//       asan-ubsan preset any touch through a stale pointer is reported.
 //
 // Cost model (mirrors ODF_TRACE): with -DODF_DEBUG_VM=OFF (the default) every macro
 // expands to a constant-folded no-op — condition expressions are parsed but never
@@ -49,9 +50,9 @@ constexpr bool Compiled() { return ODF_DEBUG_VM_COMPILED != 0; }
 
 // --- Poison values (PAGE_POISON analogs) ---
 
-// Written into every byte of a frame's data buffer just before it is released. Any stale
-// pointer that reads the buffer between the memset and the heap free observes this
-// pattern instead of plausible page contents.
+// Written into every byte of a written frame when it is freed. Any stale pointer that
+// reads the frame before it is handed out again (and re-zeroed) observes this pattern
+// instead of plausible page contents.
 inline constexpr uint8_t kPoisonByte = 0xaa;
 
 // PageMeta::reserved canaries. A frame's `reserved` field is 0 only before its first

@@ -95,15 +95,8 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit,
       violation(frame, meta, "leaked frame (allocated but unreachable from any process "
                              "or the page cache)");
     }
-    if (meta.IsCompoundHead()) {
-      if (meta.order != kHugePageOrder) {
-        violation(frame, meta, "compound head with wrong order");
-      }
-      if (meta.compound_head != frame) {
-        violation(frame, meta, "compound head not its own head");
-      }
-    } else if (meta.order != 0) {
-      violation(frame, meta, "order-0 frame with nonzero order");
+    if (meta.IsCompoundHead() && meta.compound_head != frame) {
+      violation(frame, meta, "compound head not its own head");
     }
     if (meta.IsPageTable()) {
       if (meta.IsCompound()) {
@@ -115,8 +108,8 @@ void SweepFrameArray(Kernel& kernel, const AuditResult& audit,
       if (refcount != 1) {
         violation(frame, meta, "page-table frame refcount is not 1");
       }
-      if (meta.data.load(std::memory_order_acquire) == nullptr) {
-        violation(frame, meta, "page-table frame without entry storage");
+      if (meta.written.load(std::memory_order_relaxed) == 0) {
+        violation(frame, meta, "page-table frame not marked written");
       }
     } else {
       if (refcount == 0) {

@@ -8,7 +8,7 @@
 //     paging structures or the page cache;
 //   * free frames are inert: refcount == 0, pt_share_count == 0, no flags, and (in
 //     debug-vm builds) an intact kPoisonFreed canary;
-//   * compound topology: tails point at a live compound head, heads carry the right order.
+//   * compound topology: tails point at a live compound head, heads are their own head.
 //
 // VerifyKernel itself is ALWAYS compiled — tests and tools may call it in any build. What
 // the debug-vm preset adds is the automatic hook: AutoVerifyKernel runs the verifier after

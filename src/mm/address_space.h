@@ -75,7 +75,7 @@ class AddressSpace {
   void Protect(Vaddr start, uint64_t length, uint32_t prot);
 
   // Pre-faults every page of the range (MAP_POPULATE analog): pages become present and, for
-  // writable VMAs, writable — without materialising data buffers. Benchmarks use this to
+  // writable VMAs, writable — without writing any data frame. Benchmarks use this to
   // stand up paper-scale "initialised" memory cheaply (see DESIGN.md).
   void PopulateRange(Vaddr start, uint64_t length);
 

@@ -1,5 +1,8 @@
 #include "src/phys/frame_allocator.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
 #include <array>
 #include <cstring>
 
@@ -21,20 +24,10 @@ using phys_internal::PerCpuCache;
 // Never-reused allocator identities for the per-thread cache table (per_cpu_cache.h).
 std::atomic<uint64_t> g_next_allocator_id{1};
 
-// Striped materialisation locks (the PtSplitLock pattern): concurrent COW faults
-// materialising different frames never serialise on one mutex, and the shared-pool lock is
-// kept out of the data path entirely.
-constexpr size_t kMaterializeStripes = 64;
-util::Mutex g_materialize_stripes[kMaterializeStripes];
+constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
 
-util::Mutex& MaterializeStripe(FrameId frame) {
-  return g_materialize_stripes[frame % kMaterializeStripes];
-}
-
-// Lockdep classes (debug-vm builds only; empty tags otherwise). All 64 materialize
-// stripes share one class, exactly like lockdep keying lock instances by type.
+// Lockdep class (debug-vm builds only; an empty tag otherwise).
 debug::LockClass g_pool_lock_class("FrameAllocator::mutex_");
-debug::LockClass g_materialize_lock_class("FrameAllocator::materialize_stripe");
 
 }  // namespace
 
@@ -45,16 +38,11 @@ FrameAllocator::~FrameAllocator() {
   // First orphan this allocator's per-thread caches so exiting threads do not drain into
   // freed memory; the frame ids parked in them die with the metadata below.
   phys_internal::RetireAllocatorCaches(this);
-  // Frame data buffers are owned here; release whatever is still materialised.
-  for (auto& chunk : chunks_) {
-    for (size_t i = 0; i < kChunkSize; ++i) {
-      PageMeta& meta = chunk[i];
-      std::byte* data = meta.data.load(std::memory_order_relaxed);
-      if (data != nullptr && !meta.IsCompoundTail()) {
-        delete[] data;
-        meta.data.store(nullptr, std::memory_order_relaxed);
-      }
-    }
+  for (size_t slot = 0; slot < chunks_.size(); ++slot) {
+    std::byte* region = arena_[slot].load(std::memory_order_relaxed);
+    // Clear freed frames' ASan poison so a later mapping at this address starts clean.
+    ASAN_UNPOISON_MEMORY_REGION(region, kChunkSize * kPageSize);
+    munmap(region, kChunkSize * kPageSize);
   }
 }
 
@@ -72,25 +60,64 @@ PageMeta& FrameAllocator::MetaRef(FrameId frame) const {
 PageMeta& FrameAllocator::GetMeta(FrameId frame) { return MetaRef(frame); }
 const PageMeta& FrameAllocator::GetMeta(FrameId frame) const { return MetaRef(frame); }
 
-void FrameAllocator::AddChunkLocked() {
+std::byte* FrameAllocator::FrameBytes(FrameId frame) const {
+  // Acquire pairs with the release store in GrowChunkLocked, like MetaRef.
+  std::byte* region = arena_[frame >> kChunkShift].load(std::memory_order_acquire);
+  return region + (static_cast<uint64_t>(frame & (kChunkSize - 1)) << kPageShift);
+}
+
+PageMeta& FrameAllocator::StateOwner(FrameId frame) const {
+  PageMeta& meta = MetaRef(frame);
+  return meta.IsCompoundTail() ? MetaRef(meta.compound_head) : meta;
+}
+
+FrameId FrameAllocator::GrowChunkLocked() {
   ODF_CHECK(chunks_.size() < kMaxChunks)
       << "simulated physical memory exhausted (" << kMaxChunks << " chunks)";
-  auto chunk = std::make_unique<PageMeta[]>(kChunkSize);
   size_t slot = chunks_.size();
-  FrameId base = static_cast<FrameId>(slot << kChunkShift);
+  // Reserve-only: the host materialises a page of the region when a frame is first touched.
+  void* region = mmap(nullptr, kChunkSize * kPageSize, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ODF_CHECK(region != MAP_FAILED) << "cannot map the arena region of chunk " << slot;
+  auto chunk = std::make_unique<PageMeta[]>(kChunkSize);
+  arena_[slot].store(static_cast<std::byte*>(region), std::memory_order_release);
   chunk_table_[slot].store(chunk.get(), std::memory_order_release);
   chunks_.push_back(std::move(chunk));
   stats_.total_frames.fetch_add(kChunkSize, std::memory_order_relaxed);
-  // Push in reverse so low frame ids are handed out first (mildly better locality).
-  for (size_t i = kChunkSize; i-- > 0;) {
-    free_list_.push_back(base + static_cast<FrameId>(i));
+  return static_cast<FrameId>(slot << kChunkShift);
+}
+
+void FrameAllocator::ClaimBytes(FrameId frame, uint64_t bytes, PageMeta& owner) {
+  std::byte* start = FrameBytes(frame);
+  ASAN_UNPOISON_MEMORY_REGION(start, bytes);
+  if (owner.written.load(std::memory_order_relaxed) != 0) {
+    std::memset(start, 0, bytes);
+    owner.written.store(0, std::memory_order_relaxed);
   }
+}
+
+void FrameAllocator::ReleaseBytes(FrameId frame, uint64_t bytes, const PageMeta& owner) {
+  std::byte* start = FrameBytes(frame);
+  if (owner.written.load(std::memory_order_relaxed) != 0) {
+#if ODF_DEBUG_VM_COMPILED
+    // Poison-on-free: a stale reader racing the free observes 0xaa..aa instead of
+    // plausible page contents. The frame stays written, so its next claim zeroes it.
+    std::memset(start, static_cast<int>(debug::kPoisonByte), bytes);
+    debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
+#endif
+  }
+  // Any later touch before the next claim is a use-after-free (the asan-ubsan preset).
+  ASAN_POISON_MEMORY_REGION(start, bytes);
 }
 
 FrameId FrameAllocator::PopFreeLocked() {
   for (;;) {
     if (free_list_.empty()) {
-      AddChunkLocked();
+      FrameId base = GrowChunkLocked();
+      // Push in reverse so low frame ids are handed out first (mildly better locality).
+      for (size_t i = kChunkSize; i-- > 0;) {
+        free_list_.push_back(base + static_cast<FrameId>(i));
+      }
     }
     FrameId frame = free_list_.back();
     free_list_.pop_back();
@@ -240,30 +267,21 @@ void FrameAllocator::InitAllocatedFrame(FrameId frame, uint8_t flags) {
 #endif
   ODF_DCHECK((meta.flags & kPageFlagAllocated) == 0) << "double allocation of frame " << frame;
   meta.flags = static_cast<uint8_t>(flags | kPageFlagAllocated);
-  meta.order = 0;
   meta.compound_head = frame;
   meta.refcount.store(1, std::memory_order_relaxed);
   meta.pt_share_count.store((flags & kPageFlagPageTable) != 0 ? 1 : 0,
                             std::memory_order_relaxed);
+  ClaimBytes(frame, kPageSize, meta);
   stats_.allocated_frames.fetch_add(1, std::memory_order_relaxed);
   if ((flags & kPageFlagPageTable) != 0) {
     stats_.page_table_frames.fetch_add(1, std::memory_order_relaxed);
-    std::byte* data = meta.data.load(std::memory_order_relaxed);
-    if (data == nullptr) {
-      data = new std::byte[kPageSize];
-      std::memset(data, 0, kPageSize);
-      stats_.materialized_bytes.fetch_add(kPageSize, std::memory_order_relaxed);
-      // Release pairs with the acquire in TableEntries: a walker that can see this table
-      // frame also sees the zeroed entries.
-      meta.data.store(data, std::memory_order_release);
-    } else {
-      std::memset(data, 0, kPageSize);
-    }
+    meta.written.store(1, std::memory_order_relaxed);
+    stats_.materialized_bytes.fetch_add(kPageSize, std::memory_order_relaxed);
   }
   CountVm(VmCounter::k_frames_allocated);
 }
 
-void FrameAllocator::ReleaseFrameState(PageMeta& meta) {
+void FrameAllocator::ReleaseFrameState(FrameId frame, PageMeta& meta) {
   ODF_VM_BUG_ON((meta.flags & kPageFlagAllocated) == 0) << "double free";
   // At free time the counters must be spent: refcount 0 (DecRef path) or exactly 1
   // (FreeBatch's sole-owner contract); table shares 0 (dropped) or 1 (the allocation
@@ -274,23 +292,19 @@ void FrameAllocator::ReleaseFrameState(PageMeta& meta) {
       << "freeing a page table that still has sharers";
   ODF_DCHECK((meta.flags & kPageFlagAllocated) != 0) << "double free";
   ODF_DCHECK(!meta.IsCompound()) << "compound frame on the order-0 free path";
-  std::byte* data = meta.data.load(std::memory_order_relaxed);
-  if (data != nullptr) {
-#if ODF_DEBUG_VM_COMPILED
-    // Poison-on-free: a stale reader racing the free observes 0xaa..aa instead of
-    // plausible page contents. A stale access after the delete[] is a heap UAF — ASan's
-    // department (the asan-ubsan preset).
-    std::memset(data, static_cast<int>(debug::kPoisonByte), kPageSize);
-    debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
-#endif
-    delete[] data;
-    meta.data.store(nullptr, std::memory_order_relaxed);
+  if (meta.written.load(std::memory_order_relaxed) != 0) {
     stats_.materialized_bytes.fetch_sub(kPageSize, std::memory_order_relaxed);
+  }
+  // A poisoned frame is headed for quarantine and keeps its bytes exactly as the error left
+  // them: the poison-on-free memset would destroy the one artifact worth inspecting in an
+  // ODF_VM_BUG_ON_PAGE dump or a black-box replay log (docs/memory-failure.md).
+  if (!meta.IsHwPoisoned()) {
+    ReleaseBytes(frame, kPageSize, meta);
   }
   if ((meta.flags & kPageFlagPageTable) != 0) {
     stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
   }
-  meta.flags = 0;
+  meta.flags = static_cast<uint8_t>(meta.flags & kPageFlagHwPoison);
   meta.compound_head = kInvalidFrame;
   // Free frames are inert: zero both counters so poison-check-on-alloc (and the debug-vm
   // full sweep) can detect any mutation of a freed frame's metadata.
@@ -338,7 +352,7 @@ FrameId FrameAllocator::AllocateFromCache(uint8_t flags) {
 }
 
 void FrameAllocator::FreeToCache(FrameId frame) {
-  ReleaseFrameState(MetaRef(frame));
+  ReleaseFrameState(frame, MetaRef(frame));
   PerCpuCache& cache = CacheForThread(this, id_);
   if (cache.count == PerCpuCache::kCapacity) {
     // Spill half the cache back to the shared pool in one lock hold.
@@ -369,7 +383,6 @@ void FrameAllocator::MarkHwPoison(FrameId frame) {
   // a huge page around a dead subframe. Frames on the order-0 free list (or parked in a
   // per-thread cache) are diverted lazily at their next pop instead; both are cheap
   // because poison events are rare.
-  constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
   FrameId run = frame & ~static_cast<FrameId>(kCompoundFrames - 1);
   for (size_t i = 0; i < compound_free_list_.size(); ++i) {
     if (compound_free_list_[i] != run) {
@@ -377,7 +390,10 @@ void FrameAllocator::MarkHwPoison(FrameId frame) {
     }
     compound_free_list_[i] = compound_free_list_.back();
     compound_free_list_.pop_back();
+    // The run's written state covered all 2 MiB; each order-0 frame now carries its own.
+    uint8_t written = MetaRef(run).written.load(std::memory_order_relaxed);
     for (FrameId j = 0; j < kCompoundFrames; ++j) {
+      MetaRef(run + j).written.store(written, std::memory_order_relaxed);
       if (run + j == frame) {
         QuarantineLocked(frame);
       } else {
@@ -479,7 +495,6 @@ FrameId FrameAllocator::TryAllocateCompound(uint8_t flags) {
 }
 
 FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
-  constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
   debug::MutexGuard guard(mutex_, g_pool_lock_class);
   FrameId head;
   if (!compound_free_list_.empty()) {
@@ -489,14 +504,7 @@ FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
     // Grow by one chunk dedicated to compounds (like a hugetlb pool): all of its 512-aligned
     // runs go onto the compound free list, amortising the chunk-add cost over 128 compound
     // allocations instead of paying it per fault.
-    ODF_CHECK(chunks_.size() < kMaxChunks)
-        << "simulated physical memory exhausted (" << kMaxChunks << " chunks)";
-    auto chunk = std::make_unique<PageMeta[]>(kChunkSize);
-    size_t slot = chunks_.size();
-    FrameId base = static_cast<FrameId>(slot << kChunkShift);
-    chunk_table_[slot].store(chunk.get(), std::memory_order_release);
-    chunks_.push_back(std::move(chunk));
-    stats_.total_frames.fetch_add(kChunkSize, std::memory_order_relaxed);
+    FrameId base = GrowChunkLocked();
     for (FrameId run = static_cast<FrameId>(kChunkSize); run > kCompoundFrames;
          run -= kCompoundFrames) {
       compound_free_list_.push_back(base + run - kCompoundFrames);
@@ -516,8 +524,8 @@ FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
       << "free-frame canary clobbered";
   head_meta.reserved = debug::kPoisonAllocated;
 #endif
+  ClaimBytes(head, kHugePageSize, head_meta);
   head_meta.flags = static_cast<uint8_t>(flags | kPageFlagAllocated | kPageFlagCompoundHead);
-  head_meta.order = static_cast<uint8_t>(kHugePageOrder);
   head_meta.compound_head = head;
   head_meta.refcount.store(1, std::memory_order_relaxed);
   head_meta.pt_share_count.store(0, std::memory_order_relaxed);
@@ -526,7 +534,6 @@ FrameId FrameAllocator::AllocateCompoundGranted(uint8_t flags) {
     ODF_VM_BUG_ON_PAGE(tail.refcount.load(std::memory_order_relaxed) != 0, tail, head + i)
         << "compound tail gained references while on the free list";
     tail.flags = static_cast<uint8_t>(flags | kPageFlagAllocated | kPageFlagCompoundTail);
-    tail.order = 0;
     tail.compound_head = head;
     tail.refcount.store(0, std::memory_order_relaxed);
 #if ODF_DEBUG_VM_COMPILED
@@ -694,164 +701,80 @@ void FrameAllocator::FreeOneLocked(FrameId frame) {
   ODF_VM_BUG_ON_PAGE((meta.flags & kPageFlagAllocated) == 0, meta, frame) << "double free";
   ODF_DCHECK((meta.flags & kPageFlagAllocated) != 0) << "double free of frame " << frame;
   if (meta.IsCompoundHead()) {
-    constexpr FrameId kCompoundFrames = 1u << kHugePageOrder;
-    ODF_VM_BUG_ON_PAGE(meta.refcount.load(std::memory_order_relaxed) > 1, meta, frame)
-        << "freeing a compound that still has owners";
-    bool any_poisoned = false;
-    for (FrameId i = 0; i < kCompoundFrames; ++i) {
-      if (MetaRef(frame + i).IsHwPoisoned()) {
-        any_poisoned = true;
-        break;
-      }
-    }
-    if (any_poisoned) {
-      // A subpage of this compound died to a memory error. The compound cannot be recycled
-      // whole: quarantine the dead subframes (each keeps a private copy of its corrupted
-      // 4 KiB so dumps stay inspectable) and salvage the clean ones onto the order-0 free
-      // list. The 512-aligned run is forfeited — exactly like the kernel refusing to
-      // rebuild a huge page around a PageHWPoison tail.
-      std::byte* data = meta.data.load(std::memory_order_relaxed);
-      for (FrameId i = 0; i < kCompoundFrames; ++i) {
-        PageMeta& sub = MetaRef(frame + i);
-        if (i != 0) {
-          ODF_VM_BUG_ON_PAGE(sub.refcount.load(std::memory_order_relaxed) != 0, sub,
-                             frame + i)
-              << "compound tail gained its own references";
-        }
-        std::byte* page = nullptr;
-        if (sub.IsHwPoisoned() && data != nullptr) {
-          page = new std::byte[kPageSize];
-          std::memcpy(page, data + (static_cast<uint64_t>(i) << kPageShift), kPageSize);
-          stats_.materialized_bytes.fetch_add(kPageSize, std::memory_order_relaxed);
-        }
-        sub.flags = sub.IsHwPoisoned() ? kPageFlagHwPoison : 0;
-        sub.order = 0;
-        sub.compound_head = kInvalidFrame;
-        sub.refcount.store(0, std::memory_order_relaxed);
-        sub.pt_share_count.store(0, std::memory_order_relaxed);
-        sub.data.store(page, std::memory_order_relaxed);
-#if ODF_DEBUG_VM_COMPILED
-        sub.reserved = debug::kPoisonFreed;
-#endif
-        if (sub.IsHwPoisoned()) {
-          QuarantineLocked(frame + i);
-        } else {
-          free_list_.push_back(frame + i);
-        }
-      }
-      if (data != nullptr) {
-        // The poisoned subpages were copied out above; the shared 2 MiB buffer itself can
-        // take the normal poison-on-free treatment before it dies.
-#if ODF_DEBUG_VM_COMPILED
-        std::memset(data, static_cast<int>(debug::kPoisonByte), kHugePageSize);
-        debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
-#endif
-        delete[] data;
-        stats_.materialized_bytes.fetch_sub(kHugePageSize, std::memory_order_relaxed);
-      }
-      stats_.allocated_frames.fetch_sub(kCompoundFrames, std::memory_order_relaxed);
-      CountVm(VmCounter::k_frames_freed, kCompoundFrames);
-      return;
-    }
-    std::byte* data = meta.data.load(std::memory_order_relaxed);
-    if (data != nullptr) {
-#if ODF_DEBUG_VM_COMPILED
-      std::memset(data, static_cast<int>(debug::kPoisonByte), kHugePageSize);
-      debug::internal::g_poison_writes.fetch_add(1, std::memory_order_relaxed);
-#endif
-      delete[] data;
-      meta.data.store(nullptr, std::memory_order_relaxed);
-      stats_.materialized_bytes.fetch_sub(kHugePageSize, std::memory_order_relaxed);
-    }
-    if ((meta.flags & kPageFlagPageTable) != 0) {
-      stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
-    }
-    for (FrameId i = 1; i < kCompoundFrames; ++i) {
-      PageMeta& tail = MetaRef(frame + i);
-      ODF_VM_BUG_ON_PAGE(tail.refcount.load(std::memory_order_relaxed) != 0, tail, frame + i)
-          << "compound tail gained its own references";
-      tail.flags = 0;
-      tail.compound_head = kInvalidFrame;
-#if ODF_DEBUG_VM_COMPILED
-      tail.reserved = debug::kPoisonFreed;
-#endif
-    }
-    meta.flags = 0;
-    meta.order = 0;
-    meta.refcount.store(0, std::memory_order_relaxed);
-    meta.pt_share_count.store(0, std::memory_order_relaxed);
-#if ODF_DEBUG_VM_COMPILED
-    meta.reserved = debug::kPoisonFreed;
-#endif
-    stats_.allocated_frames.fetch_sub(kCompoundFrames, std::memory_order_relaxed);
-    compound_free_list_.push_back(frame);
-    CountVm(VmCounter::k_frames_freed, kCompoundFrames);
+    FreeCompoundLocked(frame, meta);
     return;
   }
-  if (meta.IsHwPoisoned()) {
-    // Final free of a poisoned order-0 frame: retire to quarantine. Unlike
-    // ReleaseFrameState this keeps the data buffer exactly as the error left it — the
-    // poison-on-free 0xaa memset would destroy the one artifact worth inspecting in an
-    // ODF_VM_BUG_ON_PAGE dump or a black-box replay log (docs/memory-failure.md).
-    ODF_VM_BUG_ON_PAGE(meta.refcount.load(std::memory_order_relaxed) > 1, meta, frame)
-        << "quarantining a frame that still has owners";
-    if ((meta.flags & kPageFlagPageTable) != 0) {
-      stats_.page_table_frames.fetch_sub(1, std::memory_order_relaxed);
-    }
-    meta.flags = kPageFlagHwPoison;
-    meta.compound_head = kInvalidFrame;
-    meta.refcount.store(0, std::memory_order_relaxed);
-    meta.pt_share_count.store(0, std::memory_order_relaxed);
-#if ODF_DEBUG_VM_COMPILED
-    meta.reserved = debug::kPoisonFreed;
-#endif
-    stats_.allocated_frames.fetch_sub(1, std::memory_order_relaxed);
-    CountVm(VmCounter::k_frames_freed);
-    QuarantineLocked(frame);
-    return;
+  bool poisoned = meta.IsHwPoisoned();
+  ReleaseFrameState(frame, meta);
+  if (poisoned) {
+    QuarantineLocked(frame);  // Final free of a poisoned frame: retire it for good.
+  } else {
+    free_list_.push_back(frame);
   }
-  ReleaseFrameState(meta);
-  free_list_.push_back(frame);
 }
 
-std::byte* FrameAllocator::MaterializeData(FrameId frame, bool zero) {
-  PageMeta& meta = GetMeta(frame);
-  if (meta.IsCompoundTail()) {
-    FrameId head = meta.compound_head;
-    // A tail materialisation touches only part of the 2 MiB buffer; the rest must be zero.
-    std::byte* base = MaterializeData(head, /*zero=*/true);
-    return base + (static_cast<uint64_t>(frame - head) << kPageShift);
+void FrameAllocator::FreeCompoundLocked(FrameId head, PageMeta& meta) {
+  ODF_VM_BUG_ON_PAGE(meta.refcount.load(std::memory_order_relaxed) > 1, meta, head)
+      << "freeing a compound that still has owners";
+  uint8_t written = meta.written.load(std::memory_order_relaxed);
+  if (written != 0) {
+    stats_.materialized_bytes.fetch_sub(kHugePageSize, std::memory_order_relaxed);
   }
-  std::byte* data = meta.data.load(std::memory_order_acquire);
-  if (data != nullptr) {
-    return data;
+  // A subpage that died to a memory error forfeits the 512-aligned run, exactly like the
+  // kernel refusing to rebuild a huge page around a PageHWPoison tail: the dead subframes
+  // are quarantined with their bytes in place and the clean ones are salvaged onto the
+  // order-0 free list, each now carrying the compound's written state itself.
+  bool split = false;
+  for (FrameId i = 0; i < kCompoundFrames && !split; ++i) {
+    split = MetaRef(head + i).IsHwPoisoned();
   }
-  debug::MutexGuard guard(MaterializeStripe(frame), g_materialize_lock_class);
-  data = meta.data.load(std::memory_order_acquire);
-  if (data == nullptr) {
-    uint64_t bytes = meta.IsCompoundHead() ? kHugePageSize : kPageSize;
-    auto* buffer = new std::byte[bytes];
-    if (zero) {
-      std::memset(buffer, 0, bytes);
+  for (FrameId i = 0; i < kCompoundFrames; ++i) {
+    PageMeta& sub = MetaRef(head + i);
+    ODF_VM_BUG_ON_PAGE(i != 0 && sub.refcount.load(std::memory_order_relaxed) != 0, sub,
+                       head + i)
+        << "compound tail gained its own references";
+    sub.flags = static_cast<uint8_t>(sub.flags & kPageFlagHwPoison);
+    sub.compound_head = kInvalidFrame;
+    sub.refcount.store(0, std::memory_order_relaxed);
+    sub.pt_share_count.store(0, std::memory_order_relaxed);
+#if ODF_DEBUG_VM_COMPILED
+    sub.reserved = debug::kPoisonFreed;
+#endif
+    if (!split) {
+      continue;
     }
-    stats_.materialized_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    meta.data.store(buffer, std::memory_order_release);
-    data = buffer;
+    sub.written.store(written, std::memory_order_relaxed);
+    if (sub.IsHwPoisoned()) {
+      QuarantineLocked(head + i);
+    } else {
+      ReleaseBytes(head + i, kPageSize, sub);
+      free_list_.push_back(head + i);
+    }
   }
-  return data;
+  if (!split) {
+    ReleaseBytes(head, kHugePageSize, meta);
+    compound_free_list_.push_back(head);
+  }
+  stats_.allocated_frames.fetch_sub(kCompoundFrames, std::memory_order_relaxed);
+  CountVm(VmCounter::k_frames_freed, kCompoundFrames);
+}
+
+std::byte* FrameAllocator::MaterializeData(FrameId frame, bool /*zero*/) {
+  PageMeta& owner = StateOwner(frame);
+  // Unwritten bytes are already zero, so marking the frame written is all there is to do.
+  // The exchange picks the one first writer that accounts the bytes when several race
+  // (a MAP_SHARED file page written through two address spaces at once).
+  if (owner.written.load(std::memory_order_relaxed) == 0 &&
+      owner.written.exchange(1, std::memory_order_relaxed) == 0) {
+    stats_.materialized_bytes.fetch_add(owner.IsCompoundHead() ? kHugePageSize : kPageSize,
+                                        std::memory_order_relaxed);
+  }
+  return FrameBytes(frame);
 }
 
 std::byte* FrameAllocator::PeekData(FrameId frame) {
-  PageMeta& meta = GetMeta(frame);
-  if (meta.IsCompoundTail()) {
-    FrameId head = meta.compound_head;
-    std::byte* base = PeekData(head);
-    if (base == nullptr) {
-      return nullptr;
-    }
-    return base + (static_cast<uint64_t>(frame - head) << kPageShift);
-  }
-  return meta.data.load(std::memory_order_acquire);
+  bool written = StateOwner(frame).written.load(std::memory_order_relaxed) != 0;
+  return written ? FrameBytes(frame) : nullptr;
 }
 
 const std::byte* FrameAllocator::PeekData(FrameId frame) const {
@@ -859,9 +782,8 @@ const std::byte* FrameAllocator::PeekData(FrameId frame) const {
 }
 
 uint64_t* FrameAllocator::TableEntries(FrameId frame) {
-  PageMeta& meta = GetMeta(frame);
-  ODF_DCHECK(meta.IsPageTable()) << "frame " << frame << " is not a page table";
-  return reinterpret_cast<uint64_t*>(meta.data.load(std::memory_order_acquire));
+  ODF_DCHECK(GetMeta(frame).IsPageTable()) << "frame " << frame << " is not a page table";
+  return reinterpret_cast<uint64_t*>(FrameBytes(frame));
 }
 
 FrameAllocatorStats FrameAllocator::Stats() const {

@@ -1,9 +1,13 @@
 // Physical frame allocator for the simulated machine.
 //
 // Frames are identified by dense FrameId indices into a chunked metadata array (the analog of
-// the kernel's memmap/`struct page` array). Frame *data* (the 4 KiB contents) is materialised
-// lazily on first write so that a 50 GB simulated mapping costs only metadata — this is the
-// substitution that lets paper-scale sweeps run in a small container (see DESIGN.md).
+// the kernel's memmap/`struct page` array). Each chunk of 65536 frames also owns one host
+// region, mapped with MAP_NORESERVE, that holds the frames' bytes: frame f's 4 KiB sit at a
+// fixed address in its chunk's region, and a compound's 512 frames are contiguous. The host
+// kernel materialises a region's pages on first touch, so a 50 GB simulated mapping costs
+// only metadata — the substitution that lets paper-scale sweeps run in a small container (see
+// DESIGN.md). Freed bytes are re-zeroed only when a frame written in an earlier life is
+// handed out again (the __GFP_ZERO analog), never on the write path.
 //
 // Concurrency model (docs/performance.md): order-0 allocation and free are served from
 // per-thread frame caches (src/phys/per_cpu_cache.h, the pcplist analog) and touch the
@@ -37,7 +41,7 @@ struct PerCpuCache;
 struct FrameAllocatorStats {
   uint64_t total_frames = 0;      // Frames ever created (high-water mark).
   uint64_t allocated_frames = 0;  // Currently allocated (counting each tail of a compound).
-  uint64_t materialized_bytes = 0;  // Real memory held by frame data buffers.
+  uint64_t materialized_bytes = 0;  // Bytes of allocated frames that are written + tables.
   uint64_t page_table_frames = 0;
   uint64_t hwpoisoned_frames = 0;   // Frames carrying kPageFlagHwPoison (mapped or retired).
   uint64_t quarantined_frames = 0;  // Poisoned frames parked on the quarantine list.
@@ -52,8 +56,8 @@ class FrameAllocator {
   FrameAllocator& operator=(const FrameAllocator&) = delete;
 
   // Allocates one 4 KiB frame. `flags` should include the owner kind (anon/file/page-table).
-  // Page-table frames get their data materialised and zeroed immediately (tables are always
-  // real memory; they are what this library is about). The frame starts with refcount 1.
+  // The frame's bytes are zero. Page-table frames start out written (tables are always real
+  // memory; they are what this library is about). The frame starts with refcount 1.
   //
   // This is the GFP_NOFAIL analog: it never consults fault injection and aborts when the
   // frame limit cannot be satisfied after reclaim. Recoverable paths use TryAllocate.
@@ -134,16 +138,14 @@ class FrameAllocator {
   PageMeta& GetMeta(FrameId frame);
   const PageMeta& GetMeta(FrameId frame) const;
 
-  // Returns the frame's data buffer, materialising (and zero-filling) it if absent.
-  // For compound tails, returns the interior pointer into the head's 2 MiB buffer.
-  // Pass zero=false only when the caller immediately overwrites the whole buffer (COW
-  // copies), saving a redundant clear.
-  //
-  // Materialisation synchronises on a striped lock keyed by frame id — concurrent faults on
-  // different frames never serialise here, and the shared-pool lock is not involved.
+  // Marks the frame written and returns its bytes (kPageSize of them; a compound head's
+  // address starts all 2 MiB, and a tail's is its own 4 KiB inside them). An unwritten
+  // frame's bytes are already zero, so `zero` costs nothing either way; callers that
+  // overwrite the whole page (COW copies) pass false to say so. Lock-free: concurrent first
+  // writers of one frame both get the same bytes, and nobody zeroes them under a writer.
   std::byte* MaterializeData(FrameId frame, bool zero = true);
 
-  // Returns the data buffer or nullptr if the frame's content is still logical-zero.
+  // Returns the frame's bytes, or nullptr while the frame is unwritten (logical zero).
   std::byte* PeekData(FrameId frame);
   const std::byte* PeekData(FrameId frame) const;
 
@@ -238,10 +240,13 @@ class FrameAllocator {
     std::atomic<uint64_t> quarantined_frames{0};
   };
 
-  // Grows the metadata array by one chunk and pushes its frames onto the free list.
-  void AddChunkLocked() ODF_REQUIRES(mutex_);
+  // Grows the metadata array by one chunk and maps its arena region; returns the chunk's
+  // first frame. The caller puts the new frames on a free list. The only place a region is
+  // mapped.
+  FrameId GrowChunkLocked() ODF_REQUIRES(mutex_);
   FrameId PopFreeLocked() ODF_REQUIRES(mutex_);
   void FreeOneLocked(FrameId frame) ODF_REQUIRES(mutex_);
+  void FreeCompoundLocked(FrameId head, PageMeta& meta) ODF_REQUIRES(mutex_);
   void FreeBatchLocked(std::span<const FrameId> frames) ODF_REQUIRES(mutex_);
   // Parks a free poisoned frame on the quarantine list (terminal; never popped again).
   void QuarantineLocked(FrameId frame) ODF_REQUIRES(mutex_);
@@ -258,11 +263,22 @@ class FrameAllocator {
   // Marks `frame` allocated and initialises its metadata. Caller owns the frame exclusively
   // (just popped from the free list or a cache); no lock is required.
   void InitAllocatedFrame(FrameId frame, uint8_t flags);
-  // Inverse: tears down an order-0 non-compound frame's state (drops the data buffer,
-  // adjusts stats) before the id is parked in a cache or the free list.
-  void ReleaseFrameState(PageMeta& meta);
+  // Inverse: tears down an order-0 non-compound frame's state (releases its bytes, adjusts
+  // stats) before the id is parked in a cache or the free list.
+  void ReleaseFrameState(FrameId frame, PageMeta& meta);
 
   PageMeta& MetaRef(FrameId frame) const;
+  // The arena address of `frame`'s first byte.
+  std::byte* FrameBytes(FrameId frame) const;
+  // The meta whose `written` state covers `frame`: its compound head, or itself.
+  PageMeta& StateOwner(FrameId frame) const;
+  // Owner-exclusive byte transitions for `bytes` bytes starting at `frame`, whose state is
+  // `owner`'s. ClaimBytes (allocation) makes them addressable and zero, clearing `written`
+  // (the only place bytes are re-zeroed). ReleaseBytes (free) fills written bytes with
+  // debug-vm's poison, leaving them written so the next claim zeroes them, and hides the
+  // range from ASan until that claim.
+  void ClaimBytes(FrameId frame, uint64_t bytes, PageMeta& owner);
+  void ReleaseBytes(FrameId frame, uint64_t bytes, const PageMeta& owner);
 
   // Blocks (outside the lock) until `frames` more can be allocated under the limit; aborts
   // when reclaim cannot make room (the NOFAIL contract).
@@ -292,14 +308,16 @@ class FrameAllocator {
   ReclaimCallback reclaim_callback_ ODF_GUARDED_BY(mutex_);
   PressureCallback pressure_callback_ ODF_GUARDED_BY(mutex_);
   std::atomic<bool> pressure_armed_{false};
-  // Ownership; indexing goes via the spine.
+  // Ownership; indexing goes via the spines.
   std::vector<std::unique_ptr<PageMeta[]>> chunks_ ODF_GUARDED_BY(mutex_);
   std::array<std::atomic<PageMeta*>, kMaxChunks> chunk_table_{};
+  // Each chunk's arena region (kChunkSize * kPageSize bytes), unmapped by the destructor.
+  std::array<std::atomic<std::byte*>, kMaxChunks> arena_{};
   std::vector<FrameId> free_list_ ODF_GUARDED_BY(mutex_);
   // Free list of 512-aligned compound candidates (freed compounds are recycled whole).
   std::vector<FrameId> compound_free_list_ ODF_GUARDED_BY(mutex_);
   // Terminal parking lot for hwpoisoned frames: never popped, never re-entering any free
-  // list. A quarantined frame keeps its data buffer (corrupted contents stay inspectable
+  // list. A quarantined frame keeps its bytes in place (corrupted contents stay inspectable
   // in crash dumps and replay logs — the poison-on-free memset is skipped for them).
   std::vector<FrameId> quarantine_ ODF_GUARDED_BY(mutex_);
   AtomicStats stats_;

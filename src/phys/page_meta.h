@@ -3,8 +3,12 @@
 // The paper's profiling (Fig. 3) shows that classic fork spends most of its time resolving
 // compound heads and atomically incrementing per-page reference counters across the scattered
 // `struct page` array. This type reproduces those costs for real: it is stored in a flat
-// indexed array, refcounts are std::atomic, and compound (huge) pages are represented as a
-// head + 511 tails exactly like the kernel.
+// indexed array of 16-byte entries (four per cache line), refcounts are std::atomic, and
+// compound (huge) pages are represented as a head + 511 tails exactly like the kernel.
+//
+// A frame's bytes are not referenced from here: they sit at a fixed address in the
+// allocator's arena (FrameAllocator::MaterializeData), so the metadata only records whether
+// they were ever written.
 //
 // The paper stores the shared-PTE-table reference counter "in a union inside struct page that
 // is unused for last-level page tables" (§4). We mirror that with an explicit union:
@@ -35,7 +39,7 @@ enum PageFlag : uint8_t {
   kPageFlagCompoundTail = 1u << 3,  // Non-first frame of a compound page.
   kPageFlagAnon = 1u << 4,          // Backs a private anonymous mapping.
   kPageFlagFile = 1u << 5,          // Owned by the page cache (file-backed).
-  kPageFlagZeroFill = 1u << 6,      // Logical content is all-zero; data_ may be null.
+  kPageFlagZeroFill = 1u << 6,      // Logical content is all-zero (the frame is unwritten).
   // The PG_hwpoison analog: the frame took an (injected) uncorrectable memory error. Set
   // under the exclusive MmGate by src/mf via FrameAllocator::MarkHwPoison — never anywhere
   // else (scripts/odf_lint.py `hwpoison-flag`). The flag is permanent: a poisoned frame is
@@ -56,19 +60,19 @@ struct PageMeta {
   std::atomic<uint32_t> pt_share_count{0};
 
   uint8_t flags = 0;
-  uint8_t order = 0;  // Compound order for heads (kHugePageOrder); 0 otherwise.
+
+  // Nonzero once the frame's arena bytes may differ from zero: set by MaterializeData (and
+  // at allocation for page tables), cleared only when the allocator re-zeroes the bytes of a
+  // frame it hands out again. Invariant: clear means the logical content is zero AND the
+  // arena bytes are zero, so concurrent first writers need no lock. A compound's state lives
+  // on its head and covers all 2 MiB; tails keep theirs clear. The compound order needs no
+  // field: kHugePageOrder is the only one, implied by kPageFlagCompoundHead.
+  std::atomic<uint8_t> written{0};
+
   uint16_t reserved = 0;
 
   // For compound tails: frame id of the head. For heads/singles: the frame's own id.
   FrameId compound_head = kInvalidFrame;
-
-  // Lazily materialised backing store (kPageSize bytes, or kHugePageSize on compound heads).
-  // Null means the frame's logical content is all-zero. Page-table frames always have data.
-  //
-  // Atomic so concurrent faulting threads can check-then-materialise without the shared pool
-  // lock: MaterializeData publishes the filled buffer with a release store and readers load
-  // acquire, so whoever observes the pointer also observes the bytes behind it.
-  std::atomic<std::byte*> data{nullptr};
 
   bool IsPageTable() const { return (flags & kPageFlagPageTable) != 0; }
   bool IsCompoundHead() const { return (flags & kPageFlagCompoundHead) != 0; }
@@ -76,6 +80,8 @@ struct PageMeta {
   bool IsCompound() const { return (flags & (kPageFlagCompoundHead | kPageFlagCompoundTail)) != 0; }
   bool IsHwPoisoned() const { return (flags & kPageFlagHwPoison) != 0; }
 };
+
+static_assert(sizeof(PageMeta) == 16, "PageMeta is the Fig. 3 metadata array entry");
 
 // Resolves a frame's compound head the way the kernel's compound_head() does: tail frames
 // redirect to their head. This is the first Fig. 3 hotspot — the cost is the cache miss on

@@ -2,6 +2,10 @@
 // COW, and interaction with both fork flavours.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace odf {
@@ -137,6 +141,49 @@ TEST_F(FileMappingTest, TwoProcessesShareOneCachePage) {
   WriteByte(other, vb + 5, std::byte{0x7e});
   EXPECT_EQ(ReadByte(p_, va + 5), std::byte{0x7e})
       << "shared mappings in different processes must alias the same cache page";
+}
+
+// Two processes, each on its own thread and so under its own address space's locks,
+// first-write disjoint halves of the same never-written MAP_SHARED file pages at the same
+// time. A first write only marks the frame written (its bytes are already zero), so
+// neither writer can wipe the other's half.
+TEST_F(FileMappingTest, ConcurrentFirstWritesToOneSharedPageBothSurvive) {
+  constexpr uint64_t kPages = 64;
+  constexpr uint64_t kHalf = kPageSize / 2;
+  auto file = kernel_.fs().Open("/race");
+  Process& other = kernel_.CreateProcess();
+  Vaddr va = p_.address_space().MapFile(file, 0, kPages * kPageSize,
+                                        kProtRead | kProtWrite, true);
+  Vaddr vb = other.address_space().MapFile(file, 0, kPages * kPageSize,
+                                           kProtRead | kProtWrite, true);
+  for (uint64_t page = 0; page < kPages; ++page) {
+    // Read faults map the cache page in both processes without writing it.
+    ASSERT_EQ(ReadByte(p_, va + page * kPageSize), std::byte{0});
+    ASSERT_EQ(ReadByte(other, vb + page * kPageSize), std::byte{0});
+    ASSERT_EQ(kernel_.allocator().PeekData(file->PeekPage(page)), nullptr);
+  }
+  std::atomic<uint64_t> arrived{0};
+  auto writer = [&](Process& proc, Vaddr base, uint64_t offset, std::byte value) {
+    std::vector<std::byte> half(kHalf, value);
+    for (uint64_t page = 0; page < kPages; ++page) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2 * (page + 1)) {
+      }  // Both writers start each page together.
+      ASSERT_TRUE(proc.WriteMemory(base + page * kPageSize + offset, half));
+    }
+  };
+  std::thread first(writer, std::ref(p_), va, 0, std::byte{0x11});
+  std::thread second(writer, std::ref(other), vb, kHalf, std::byte{0x22});
+  first.join();
+  second.join();
+  std::vector<std::byte> page_bytes(kPageSize);
+  for (uint64_t page = 0; page < kPages; ++page) {
+    file->Read(page * kPageSize, page_bytes);
+    for (uint64_t i = 0; i < kPageSize; ++i) {
+      ASSERT_EQ(page_bytes[i], i < kHalf ? std::byte{0x11} : std::byte{0x22})
+          << "page " << page << " byte " << i;
+    }
+  }
 }
 
 class FileForkTest : public FileMappingTest,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/debug/verify.h"
@@ -236,6 +237,26 @@ TEST_F(MemoryFailureTest, HugeMappingSplitsAndLosesOneSubpage) {
   // With the compound fully unmapped, its last free salvages the run: the one poisoned
   // subpage is quarantined, the 511 healthy ones return to the allocator.
   EXPECT_EQ(kernel.allocator().Stats().quarantined_frames, 1u);
+  EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
+}
+
+// The last free of a compound with a poisoned subpage quarantines that subframe with its
+// bytes in place (they stay inspectable) and salvages the healthy ones.
+TEST_F(MemoryFailureTest, QuarantinedSubframeOfFreedCompoundKeepsItsBytes) {
+  Kernel kernel;
+  Process& p = kernel.CreateProcess();
+  Vaddr base = p.Mmap(kHugePageSize, kProtRead | kProtWrite, /*huge=*/true);
+  FillPattern(p, base, kLength, 3);
+  Vaddr dead_va = base + 5 * kPageSize;
+  FrameId frame = FrameAt(p, dead_va);
+  std::vector<std::byte> expected(kPageSize);
+  ASSERT_TRUE(p.ReadMemory(dead_va, expected));
+  ASSERT_EQ(kernel.MemoryFailure(frame), MfResult::kRecovered);
+  p.Munmap(base, kHugePageSize);
+  ASSERT_EQ(kernel.allocator().Stats().quarantined_frames, 1u);
+  const std::byte* kept = kernel.allocator().PeekData(frame);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), kept));
   EXPECT_TRUE(debug::VerifyKernel(kernel).ok());
 }
 
