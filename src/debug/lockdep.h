@@ -1,6 +1,6 @@
 // Lockdep-lite: a runtime lock-order validator modeled on the kernel's lockdep.
 //
-// Locks are grouped into *classes* (all 64 materialize stripes are one class, exactly like
+// Locks are grouped into *classes* (all 64 range shards of an address space are one class, like
 // lockdep keying all instances of a lock type to one class). Each acquisition is recorded
 // on a per-thread held-lock stack; every (held -> acquired) pair becomes an edge in a
 // global class dependency graph. The first acquisition that would close a cycle aborts,

@@ -151,7 +151,7 @@ bool DataCowFault(AddressSpace& as, VmArea& vma, Vaddr va, uint64_t* slot) {
     std::byte* dst = allocator.MaterializeData(copy, /*zero=*/false);
     std::memcpy(dst, src, kPageSize);
   }
-  // else: the source was never materialised (logical zero) — the copy stays lazy-zero.
+  // else: the source was never written (logical zero) — the copy stays unwritten.
   StoreEntry(slot, Pte::Make(copy, kPtePresent | kPteWritable | kPteUser | kPteAccessed |
                                        kPteDirty));
   as.locks().InvalidatePage(va);  // Gen-before-free: bump the shard before the old frame drops.

@@ -246,6 +246,8 @@ class FrameAllocator {
   FrameId GrowChunkLocked() ODF_REQUIRES(mutex_);
   FrameId PopFreeLocked() ODF_REQUIRES(mutex_);
   void FreeOneLocked(FrameId frame) ODF_REQUIRES(mutex_);
+  // Frees a compound whole onto the compound free list, or, when a subframe is poisoned,
+  // splits it into quarantined and order-0 free frames.
   void FreeCompoundLocked(FrameId head, PageMeta& meta) ODF_REQUIRES(mutex_);
   void FreeBatchLocked(std::span<const FrameId> frames) ODF_REQUIRES(mutex_);
   // Parks a free poisoned frame on the quarantine list (terminal; never popped again).

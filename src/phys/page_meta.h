@@ -81,7 +81,7 @@ struct PageMeta {
   bool IsHwPoisoned() const { return (flags & kPageFlagHwPoison) != 0; }
 };
 
-static_assert(sizeof(PageMeta) == 16, "PageMeta is the Fig. 3 metadata array entry");
+static_assert(sizeof(PageMeta) == 16, "four PageMeta entries per 64-byte cache line");
 
 // Resolves a frame's compound head the way the kernel's compound_head() does: tail frames
 // redirect to their head. This is the first Fig. 3 hotspot — the cost is the cache miss on

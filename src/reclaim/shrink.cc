@@ -96,7 +96,7 @@ bool ShrinkFrame(ShrinkContext& ctx, FrameId frame, std::span<const Mapping> map
     CountVm(VmCounter::k_pgswapout);
     ODF_TRACE(page_swap_out, 0, frame);
   } else {
-    // Never materialised: the content is logical zero, so dropping the mappings loses
+    // Never written: the content is logical zero, so dropping the mappings loses
     // nothing — the next fault demand-zeroes the page again. No swap slot.
     for (const Mapping& mapping : mappings) {
       StoreEntry(mapping.slot, Pte());

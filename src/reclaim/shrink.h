@@ -17,7 +17,7 @@
 // visit only clears that bit, so it outlasts a page that refaulted cold by one sweep.
 // pgscan counts the inactive frames examined. Eviction rewrites every slot with one swap
 // entry (a shared-table slot once for all its sharers, §3.6) or, for a frame whose content
-// was never materialised, with an empty entry.
+// was never written, with an empty entry.
 //
 // CALLERS MUST HOLD THE MmGate EXCLUSIVELY (mm_gate.h): the shrinker rewrites leaf entries
 // in tables shared across address spaces and frees the frames they referenced; the gate
