@@ -115,6 +115,15 @@ if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
   fi
 fi
 
+# Profiled-copy smoke: fig03 is the one bench that forks with a ForkProfile, so this runs the
+# TimedCopyProfile instantiation of the shared PTE copier (src/mm/range_ops.h) end to end.
+if [[ -z "$ONLY" || "$ONLY" == "default" ]]; then
+  note "fig03 profiled-fork smoke (default preset, ODF_BENCH_FAST=1)"
+  if ! ODF_BENCH_FAST=1 ODF_BENCH_JSON=0 ./build/bench/fig03_fork_profile; then
+    FAILURES+=("fig03 smoke")
+  fi
+fi
+
 # The repo benchmark's self-test (BENCHMARK.json, perfbench/): every workload at tiny size
 # must pass its correctness checks and emit exactly the declared metrics. It builds its own
 # tree (.bench_build/) on first use.

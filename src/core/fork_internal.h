@@ -21,12 +21,6 @@ bool ClassicCopyPageTables(AddressSpace& parent, AddressSpace& child, ForkProfil
 bool OnDemandSharePageTables(AddressSpace& parent, AddressSpace& child, ForkProfile* profile,
                              ForkCounters* counters, bool share_pmd_tables);
 
-// Copies a huge (PMD-level) mapping entry from `parent_slot` into `child_slot`: takes a
-// reference on the compound page and write-protects private mappings in both entries.
-// Shared-file huge mappings are not supported (matches AddressSpace).
-void CopyHugeEntry(FrameAllocator& allocator, uint64_t* parent_slot, uint64_t* child_slot,
-                   ForkCounters* counters);
-
 }  // namespace odf
 
 #endif  // ODF_SRC_CORE_FORK_INTERNAL_H_

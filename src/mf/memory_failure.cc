@@ -58,7 +58,7 @@ bool SplitAllHugeMappings(MfContext& ctx, FrameId head) {
         }
         // The PMD table holding this entry may be shared (kOnDemandHuge, §4): dedicate it
         // first so the split mutates only this space's view.
-        if (!EnsureExclusivePmdPath(*as, chunk, AllocPolicy::kTry)) {
+        if (!EnsureExclusivePath(*as, chunk, AllocPolicy::kTry)) {
           return false;
         }
         pmd_slot = as->walker().FindEntry(as->pgd(), chunk, PtLevel::kPmd);

@@ -302,16 +302,7 @@ void AddressSpace::PopulateRange(Vaddr start, uint64_t length) {
   // Populate installs entries; like the fault handler, it must never write into tables
   // shared with other processes (their VMA layouts may differ).
   for (Vaddr chunk = EntryBase(start, PtLevel::kPmd); chunk < end; chunk += kPteTableSpan) {
-    EnsureExclusivePmdPath(*this, chunk);
-    uint64_t* pmd_slot = walker_.FindEntry(pgd_, chunk, PtLevel::kPmd);
-    if (pmd_slot != nullptr) {
-      Pte pmd = LoadEntry(pmd_slot);
-      if (pmd.IsPresent() && !pmd.IsHuge() &&
-          allocator_->GetMeta(pmd.frame()).pt_share_count.load(std::memory_order_acquire) >
-              1) {
-        DedicatePteTable(*this, chunk, pmd_slot);
-      }
-    }
+    EnsureExclusivePath(*this, chunk);
   }
 
   if (vma->huge) {

@@ -319,8 +319,8 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
         // §4 extension: the PUD write-protection marks a shared PMD table (kOnDemandHuge).
         uint64_t* pud_slot = walker.FindEntry(as.pgd(), va, PtLevel::kPud);
         ODF_CHECK(pud_slot != nullptr);
-        if (DedicatePmdTable(as, EntryBase(va, PtLevel::kPud), pud_slot,
-                             AllocPolicy::kTry) == kInvalidFrame) {
+        if (DedicateTable(as, PtLevel::kPud, va, pud_slot, AllocPolicy::kTry) ==
+            kInvalidFrame) {
           return FaultOom(as, va);
         }
         continue;
@@ -336,7 +336,7 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
           }
         } else {
           // The on-demand-fork path: the PMD write-protection marks a shared PTE table.
-          if (DedicatePteTable(as, chunk_base, pmd_slot, AllocPolicy::kTry) ==
+          if (DedicateTable(as, PtLevel::kPmd, va, pmd_slot, AllocPolicy::kTry) ==
               kInvalidFrame) {
             return FaultOom(as, va);
           }
@@ -358,7 +358,9 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
     // in, so any shared table on the path must be dedicated first: sharers' VMA layouts can
     // diverge after fork, and an entry installed into a shared table would silently appear
     // in every sharer's address space. (ODF's "fast read" applies to PRESENT pages only.)
-    if (!EnsureExclusivePmdPath(as, va, AllocPolicy::kTry)) {
+    // The PTE-table step acts only on a present non-huge PMD entry, so it may run before the
+    // huge branch below.
+    if (!EnsureExclusivePath(as, va, AllocPolicy::kTry)) {
       return FaultOom(as, va);
     }
     if (vma->huge) {
@@ -384,18 +386,6 @@ FaultResult HandleFault(AddressSpace& as, Vaddr va, AccessType access, FrameId* 
       }
       // A present non-huge PMD under a huge VMA is a previously split/degraded chunk:
       // fall through to the 4 KiB path.
-    }
-    uint64_t* pmd_probe = walker.FindEntry(as.pgd(), va, PtLevel::kPmd);
-    if (pmd_probe != nullptr) {
-      Pte pmd_entry = LoadEntry(pmd_probe);
-      if (pmd_entry.IsPresent() && !pmd_entry.IsHuge() &&
-          as.allocator().GetMeta(pmd_entry.frame())
-                  .pt_share_count.load(std::memory_order_acquire) > 1) {
-        if (DedicatePteTable(as, EntryBase(va, PtLevel::kPmd), pmd_probe,
-                             AllocPolicy::kTry) == kInvalidFrame) {
-          return FaultOom(as, va);
-        }
-      }
     }
     uint64_t* slot = walker.TryEnsureEntry(as.pgd(), va, PtLevel::kPte);
     if (slot == nullptr) {

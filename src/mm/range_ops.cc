@@ -45,6 +45,58 @@ bool TableIsEmpty(FrameAllocator& allocator, FrameId table) {
   return true;
 }
 
+bool TableIsShared(FrameAllocator& allocator, FrameId table) {
+  return allocator.GetMeta(table).pt_share_count.load(std::memory_order_acquire) > 1;
+}
+
+// Clears the PTE entries [0, count) of `entries`. Swap entries release their slot; poison
+// markers carry no references (the quarantine pin is the allocator's) and simply go. The
+// compound heads of the present pages are written to `heads` and their number returned: the
+// caller drops them with one DecRefBatch (one shared-pool lock round-trip for the whole
+// range, docs/performance.md) once no reader can reach them any more.
+size_t ClearPteEntries(FrameAllocator& allocator, SwapSpace* swap, uint64_t* entries,
+                       size_t count, FrameId* heads) {
+  size_t mapped = 0;
+  for (size_t i = 0; i < count; ++i) {
+    Pte entry = LoadEntry(&entries[i]);
+    if (entry.IsPresent()) {
+      FrameId frame = entry.frame();
+      heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
+    } else if (entry.IsSwap()) {
+      ODF_CHECK(swap != nullptr) << "swap entry without a swap device";
+      swap->DecRef(entry.swap_slot());
+    } else if (!entry.IsHwPoison()) {
+      continue;  // Nothing mapped here.
+    }
+    StoreEntry(&entries[i], Pte());
+  }
+  return mapped;
+}
+
+// What DedicateTable counts and drops, per level of the entry that points at the shared
+// table: row 0 for kPmd, row 1 for kPud.
+struct DedicateRow {
+  util::RelaxedCounter MmStats::*cow_faults;
+  util::RelaxedCounter MmStats::*fixups;
+  VmCounter cow_counter;
+  VmCounter fixup_counter;
+  TraceEventId cow_event;
+  TraceEventId fixup_event;
+  LatencyHistogram& (*histogram)();
+  bool (*drop)(FrameAllocator&, SwapSpace*, FrameId);
+};
+
+constexpr DedicateRow kDedicateRows[] = {
+    // kPmd: a PTE table (§3.4).
+    {&MmStats::pte_table_cow_faults, &MmStats::pte_table_fixups, VmCounter::k_pte_table_cow,
+     VmCounter::k_pte_table_fixup, TraceEventId::k_fault_cow_pte_table,
+     TraceEventId::k_fault_pte_table_fixup, PteTableCowHistogram, DropPteTableReference},
+    // kPud: a PMD table (§4 extension).
+    {&MmStats::pmd_table_cow_faults, &MmStats::pmd_table_fixups, VmCounter::k_pmd_table_cow,
+     VmCounter::k_pmd_table_fixup, TraceEventId::k_fault_cow_pmd_table,
+     TraceEventId::k_fault_pmd_table_fixup, PmdTableCowHistogram, DropPmdTableReference},
+};
+
 }  // namespace
 
 util::Mutex& PtSplitLock(FrameId table) {
@@ -63,42 +115,122 @@ void PutMappedPage(FrameAllocator& allocator, Pte entry, bool huge) {
   allocator.DecRef(ResolveCompoundHead(meta, frame));
 }
 
+template <typename Profile>
+uint64_t CopyPteEntries(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src,
+                        uint64_t* dst, size_t count, bool wrprotect, Profile profile) {
+  std::array<size_t, kEntriesPerTable> indices;
+  std::array<FrameId, kEntriesPerTable> heads;
+  size_t present = 0;
+  uint64_t swapped = 0;
+  for (size_t i = 0; i < count; ++i) {
+    Pte entry = LoadEntry(&src[i]);
+    if (entry.IsSwap()) {
+      // Both copies reference the immutable slot; each side swaps in its own page on fault.
+      ODF_CHECK(swap != nullptr) << "swap entry without a swap device";
+      swap->IncRef(entry.swap_slot());
+      StoreEntry(&dst[i], entry);
+      ++swapped;
+      continue;
+    }
+    if (entry.IsHwPoison()) {
+      // The copy's VA is as lost as the original's; markers are refcount-free.
+      StoreEntry(&dst[i], entry);
+      continue;
+    }
+    if (!entry.IsPresent()) {
+      continue;
+    }
+    FrameId frame = entry.frame();
+    PageMeta& meta = allocator.GetMeta(frame);          // struct page lookup.
+    heads[present] = ResolveCompoundHead(meta, frame);  // compound_head().
+    indices[present] = i;
+    ++present;
+  }
+  profile.Lap(CopyPass::kMetaResolve);
+
+  allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
+  profile.Lap(CopyPass::kRefcount);
+
+  for (size_t k = 0; k < present; ++k) {
+    size_t i = indices[k];
+    Pte entry = LoadEntry(&src[i]);
+    // The accessed bit is duplicated as-is (§3.2).
+    if (wrprotect && entry.IsWritable()) {
+      entry = entry.WithoutFlag(kPteWritable);
+      StoreEntry(&src[i], entry);
+    }
+    StoreEntry(&dst[i], entry);
+  }
+  profile.Lap(CopyPass::kEntryCopy);
+  return present + swapped;
+}
+
+template uint64_t CopyPteEntries<NoCopyProfile>(FrameAllocator&, SwapSpace*, uint64_t*,
+                                                uint64_t*, size_t, bool, NoCopyProfile);
+template uint64_t CopyPteEntries<TimedCopyProfile>(FrameAllocator&, SwapSpace*, uint64_t*,
+                                                   uint64_t*, size_t, bool,
+                                                   TimedCopyProfile);
+
+PmdCopyCounts CopyPmdEntries(FrameAllocator& allocator, uint64_t* src, uint64_t* dst,
+                             size_t count) {
+  std::array<size_t, kEntriesPerTable> indices;
+  std::array<FrameId, kEntriesPerTable> huge_heads;
+  std::array<FrameId, kEntriesPerTable> pte_tables;
+  size_t present = 0;
+  size_t huge_count = 0;
+  size_t table_count = 0;
+  for (size_t i = 0; i < count; ++i) {
+    Pte entry = LoadEntry(&src[i]);
+    if (!entry.IsPresent()) {
+      continue;
+    }
+    if (entry.IsHuge()) {
+      huge_heads[huge_count++] = entry.frame();
+    } else {
+      pte_tables[table_count++] = entry.frame();
+    }
+    indices[present++] = i;
+  }
+  allocator.IncRefBatch(std::span<const FrameId>(huge_heads.data(), huge_count));
+  allocator.IncPtShareBatch(std::span<const FrameId>(pte_tables.data(), table_count));
+  for (size_t k = 0; k < present; ++k) {
+    size_t i = indices[k];
+    Pte entry = LoadEntry(&src[i]);
+    if (entry.IsWritable()) {
+      entry = entry.WithoutFlag(kPteWritable);
+      StoreEntry(&src[i], entry);
+    }
+    StoreEntry(&dst[i], entry);
+  }
+  return PmdCopyCounts{huge_count, table_count};
+}
+
+void ShareTableEntry(FrameAllocator& allocator, uint64_t* src_slot, uint64_t* dst_slot) {
+  Pte entry = LoadEntry(src_slot);
+  ODF_DCHECK(entry.IsPresent() && !entry.IsHuge());
+  allocator.IncPtShare(entry.frame());
+  Pte shared_entry = entry.WithoutFlag(kPteWritable);
+  StoreEntry(src_slot, shared_entry);
+  StoreEntry(dst_slot, shared_entry);
+}
+
 bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table) {
   if (allocator.DecPtShare(table) != 1) {
     return false;
   }
-  // Last reference: release the per-page references this table holds on behalf of all its
-  // (former) sharers, then free the table frame itself. Swap entries release their slot.
-  // The per-page drops go through DecRefBatch so the whole table costs one shared-pool lock
-  // round-trip, not one per entry that hits refcount zero (docs/performance.md).
-  uint64_t* entries = allocator.TableEntries(table);
+  // Last reference: release the per-page references and swap slots this table holds on
+  // behalf of all its (former) sharers, then free the table frame itself.
   std::array<FrameId, kEntriesPerTable> heads;
-  size_t mapped = 0;
-  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
-    Pte entry = LoadEntry(&entries[i]);
-    if (entry.IsPresent()) {
-      FrameId frame = entry.frame();
-      heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
-      StoreEntry(&entries[i], Pte());
-    } else if (entry.IsSwap()) {
-      ODF_CHECK(swap != nullptr) << "swap entry without a swap device";
-      swap->DecRef(entry.swap_slot());
-      StoreEntry(&entries[i], Pte());
-    } else if (entry.IsHwPoison()) {
-      // Poison markers carry no references (the quarantine pin is the allocator's); the
-      // tombstone simply dies with the table.
-      StoreEntry(&entries[i], Pte());
-    }
-  }
+  size_t mapped =
+      ClearPteEntries(allocator, swap, allocator.TableEntries(table), kEntriesPerTable,
+                      heads.data());
   // The caller bumped every covered shard generation before dropping its last table
   // share (ZapRange's "unlink, bump, THEN drop" ordering); by the time this runs no
   // lock-free reader can pass its generation recheck.
-  // odf-lint: allow(gen-before-free)
   allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
   // Freed at once: the caller holds a lock that excludes every walker that can still
   // reach this table (docs/performance.md "Freeing a page table"). No translation caches
   // a table frame, so the free owes no generation bump of its own.
-  // odf-lint: allow(gen-before-free)
   allocator.DecRef(table);
   return true;
 }
@@ -135,14 +267,18 @@ bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   return true;
 }
 
-FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_slot,
-                         AllocPolicy policy) {
+FrameId DedicateTable(AddressSpace& as, PtLevel level, Vaddr va, uint64_t* slot,
+                      AllocPolicy policy) {
+  ODF_DCHECK(level == PtLevel::kPmd || level == PtLevel::kPud);
   FrameAllocator& allocator = as.allocator();
+  const DedicateRow& row = kDedicateRows[level == PtLevel::kPmd ? 0 : 1];
   const bool tracing = trace::Enabled();
   const uint64_t t0 = tracing ? trace::NowNanos() : 0;
-  Pte pud = LoadEntry(pud_slot);
-  ODF_DCHECK(pud.IsPresent() && !pud.IsHuge());
-  FrameId shared = pud.frame();
+  const Vaddr base = EntryBase(va, level);
+  const Vaddr end = base + EntrySpan(level);
+  Pte entry = LoadEntry(slot);
+  ODF_DCHECK(entry.IsPresent() && !entry.IsHuge());
+  FrameId shared = entry.frame();
 
   // Allocate the private table BEFORE taking the split lock: a NOFAIL allocation may block
   // in direct reclaim (which takes the MmGate exclusively), and no lock may be held at a
@@ -161,202 +297,70 @@ FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_sl
   // the referenced frame — flag-only changes (a walker's accessed-bit fetch_or, a racing
   // fixup's writable re-enable) keep the same table and fall through to the share count.
   {
-    Pte current = LoadEntry(pud_slot);
+    Pte current = LoadEntry(slot);
     if (!current.IsPresent() || current.IsHuge() || current.frame() != shared) {
       allocator.DecRef(dedicated);
       return current.IsPresent() && !current.IsHuge() ? current.frame() : kInvalidFrame;
     }
   }
-  PageMeta& shared_meta = allocator.GetMeta(shared);
-  uint32_t share = shared_meta.pt_share_count.load(std::memory_order_acquire);
-  ODF_DCHECK(share >= 1);
-  Vaddr span_end = pud_span_base + EntrySpan(PtLevel::kPud);
-  if (share == 1) {
-    allocator.DecRef(dedicated);  // The other sharers went away: the spare is unused.
-    StoreEntry(pud_slot, pud.WithFlag(kPteWritable));
-    as.locks().InvalidateRange(pud_span_base, span_end);
-    ++as.stats().pmd_table_fixups;
-    CountVm(VmCounter::k_pmd_table_fixup);
-    ODF_TRACE(fault_pmd_table_fixup, as.owner_pid(), pud_span_base, shared);
-    return shared;
-  }
-
-  uint64_t* src = allocator.TableEntries(shared);
-  uint64_t* dst = allocator.TableEntries(dedicated);
-  // Collect first, then take every reference in two batch calls (huge-page refcounts and
-  // PTE-table share counts), then publish the entries — all references exist before any
-  // entry of the new table is visible.
-  std::array<uint64_t, kEntriesPerTable> indices;
-  std::array<FrameId, kEntriesPerTable> huge_heads;
-  std::array<FrameId, kEntriesPerTable> pte_tables;
-  size_t present = 0;
-  size_t huge_count = 0;
-  size_t table_count = 0;
-  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
-    Pte entry = LoadEntry(&src[i]);
-    if (!entry.IsPresent()) {
-      continue;
-    }
-    if (entry.IsHuge()) {
-      // A reference on the 2 MiB compound page; both entries stay COW-protected.
-      huge_heads[huge_count++] = entry.frame();
-    } else {
-      // The copy becomes one more sharer of the PTE table below.
-      pte_tables[table_count++] = entry.frame();
-    }
-    indices[present++] = i;
-  }
-  allocator.IncRefBatch(std::span<const FrameId>(huge_heads.data(), huge_count));
-  allocator.IncPtShareBatch(std::span<const FrameId>(pte_tables.data(), table_count));
-  for (size_t k = 0; k < present; ++k) {
-    uint64_t i = indices[k];
-    Pte entry = LoadEntry(&src[i]);
-    if (entry.IsWritable()) {
-      Pte protected_entry = entry.WithoutFlag(kPteWritable);
-      StoreEntry(&src[i], protected_entry);
-      entry = protected_entry;
-    }
-    StoreEntry(&dst[i], entry);
-  }
-  StoreEntry(pud_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
-                                                (pud.flags() & kPteAccessed)));
-  as.locks().InvalidateRange(pud_span_base, span_end);
-  // As in DedicatePteTable: a sharer exiting meanwhile may have left ours the last share.
-  DropPmdTableReference(allocator, as.swap_space(), shared);
-  ++as.stats().pmd_table_cow_faults;
-  CountVm(VmCounter::k_pmd_table_cow);
-  if (tracing) {
-    uint64_t ns = trace::NowNanos() - t0;
-    ODF_TRACE(fault_cow_pmd_table, as.owner_pid(), pud_span_base, ns);
-    PmdTableCowHistogram().RecordNanos(ns);
-  }
-  return dedicated;
-}
-
-bool EnsureExclusivePmdPath(AddressSpace& as, Vaddr va, AllocPolicy policy) {
-  uint64_t* pud_slot = as.walker().FindEntry(as.pgd(), va, PtLevel::kPud);
-  if (pud_slot == nullptr) {
-    return true;
-  }
-  Pte pud = LoadEntry(pud_slot);
-  if (!pud.IsPresent() || pud.IsHuge()) {
-    return true;
-  }
-  if (as.allocator().GetMeta(pud.frame()).pt_share_count.load(std::memory_order_acquire) >
-      1) {
-    return DedicatePmdTable(as, EntryBase(va, PtLevel::kPud), pud_slot, policy) !=
-           kInvalidFrame;
-  }
-  return true;
-}
-
-FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
-                         AllocPolicy policy) {
-  FrameAllocator& allocator = as.allocator();
-  const bool tracing = trace::Enabled();
-  const uint64_t t0 = tracing ? trace::NowNanos() : 0;
-  Pte pmd = LoadEntry(pmd_slot);
-  ODF_DCHECK(pmd.IsPresent() && !pmd.IsHuge());
-  FrameId shared = pmd.frame();
-
-  // Allocate the private table BEFORE taking the split lock (see DedicatePmdTable: no lock
-  // may be held at a quota-wait point). The fixup path below frees the spare.
-  FrameId dedicated = policy == AllocPolicy::kTry ? TryAllocPageTable(allocator)
-                                                  : AllocPageTable(allocator);
-  if (dedicated == kInvalidFrame) {
-    // kTry only: nothing has been mutated; the caller unwinds or degrades.
-    return kInvalidFrame;
-  }
-
-  debug::MutexGuard guard(PtSplitLock(shared), g_pt_split_lock_class);
-  // Concurrent-faulter recheck (see DedicatePmdTable): a racing thread that won the split
-  // lock first may already have repointed this PMD slot at its own dedicated table.
-  {
-    Pte current = LoadEntry(pmd_slot);
-    if (!current.IsPresent() || current.IsHuge() || current.frame() != shared) {
-      allocator.DecRef(dedicated);
-      return current.IsPresent() && !current.IsHuge() ? current.frame() : kInvalidFrame;
-    }
-  }
-  PageMeta& shared_meta = allocator.GetMeta(shared);
-  uint32_t share = shared_meta.pt_share_count.load(std::memory_order_acquire);
+  uint32_t share = allocator.GetMeta(shared).pt_share_count.load(std::memory_order_acquire);
   ODF_DCHECK(share >= 1);
   if (share == 1) {
     // The other sharers went away while we were faulting: the table is already ours.
     // Re-enable the hierarchical write permission and keep it (paper §3.4: "both the
     // previously shared table and the new table become dedicated").
     allocator.DecRef(dedicated);
-    StoreEntry(pmd_slot, pmd.WithFlag(kPteWritable));
-    as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
-    ++as.stats().pte_table_fixups;
-    CountVm(VmCounter::k_pte_table_fixup);
-    ODF_TRACE(fault_pte_table_fixup, as.owner_pid(), chunk_base, shared);
+    StoreEntry(slot, entry.WithFlag(kPteWritable));
+    as.locks().InvalidateRange(base, end);
+    ++(as.stats().*row.fixups);
+    CountVm(row.fixup_counter);
+    ODF_TRACE_ID(row.fixup_event, as.owner_pid(), base, shared);
     return shared;
   }
 
+  // This is the deferred cost the paper measures in Table 1: the level's copier, with one
+  // batched reference call per kind of reference for the whole table.
   uint64_t* src = allocator.TableEntries(shared);
   uint64_t* dst = allocator.TableEntries(dedicated);
-  // This is the deferred cost the paper measures in Table 1: one metadata lookup per entry,
-  // and (now) ONE batched refcount call for the whole table. References are taken before any
-  // entry of the new table is published.
-  std::array<uint64_t, kEntriesPerTable> indices;
-  std::array<FrameId, kEntriesPerTable> heads;
-  size_t present = 0;
-  for (uint64_t i = 0; i < kEntriesPerTable; ++i) {
-    Pte entry = LoadEntry(&src[i]);
-    if (entry.IsSwap()) {
-      // Swapped page: the private copy references the immutable slot too; each side will
-      // swap in its own copy on fault (trivially correct COW for swapped pages).
-      ODF_CHECK(as.swap_space() != nullptr);
-      as.swap_space()->IncRef(entry.swap_slot());
-      StoreEntry(&dst[i], entry);
-      continue;
-    }
-    if (entry.IsHwPoison()) {
-      // Poison markers copy verbatim: the dedicated table remembers the dead VA too, and
-      // markers are refcount-free so there is nothing to IncRef.
-      StoreEntry(&dst[i], entry);
-      continue;
-    }
-    if (!entry.IsPresent()) {
-      continue;
-    }
-    FrameId frame = entry.frame();
-    PageMeta& meta = allocator.GetMeta(frame);
-    heads[present] = ResolveCompoundHead(meta, frame);
-    indices[present] = i;
-    ++present;
+  if (level == PtLevel::kPmd) {
+    CopyPteEntries(allocator, as.swap_space(), src, dst, kEntriesPerTable,
+                   /*wrprotect=*/true, NoCopyProfile());
+  } else {
+    CopyPmdEntries(allocator, src, dst, kEntriesPerTable);
   }
-  allocator.IncRefBatch(std::span<const FrameId>(heads.data(), present));
-  for (size_t k = 0; k < present; ++k) {
-    uint64_t i = indices[k];
-    Pte entry = LoadEntry(&src[i]);
-    // Write-protect the entry in both copies so the first write to each data page still
-    // triggers a per-page COW; the accessed bit is duplicated as-is (§3.2).
-    if (entry.IsWritable()) {
-      Pte protected_entry = entry.WithoutFlag(kPteWritable);
-      StoreEntry(&src[i], protected_entry);
-      entry = protected_entry;
-    }
-    StoreEntry(&dst[i], entry);
-  }
-  // Repoint this address space's PMD entry at the private copy, restoring write permission
-  // at the PMD level, and drop our reference to the shared table.
-  StoreEntry(pmd_slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
-                                                (pmd.flags() & kPteAccessed)));
-  as.locks().InvalidateRange(chunk_base, chunk_base + kPteTableSpan);
+  // Repoint this address space's entry at the private copy, restoring write permission at
+  // this level, and drop our reference to the shared table.
+  StoreEntry(slot, Pte::Make(dedicated, kPtePresent | kPteWritable | kPteUser |
+                                            (entry.flags() & kPteAccessed)));
+  as.locks().InvalidateRange(base, end);
   // The share count was >= 2 under the split lock, but an exiting sharer drops its share
   // without that lock (ZapRange), so ours may be the last one by now: drop it the full
-  // way, or the shared table and the page references it holds would leak.
-  DropPteTableReference(allocator, as.swap_space(), shared);
-  ++as.stats().pte_table_cow_faults;
-  CountVm(VmCounter::k_pte_table_cow);
+  // way, or the shared table and the references it holds would leak.
+  row.drop(allocator, as.swap_space(), shared);
+  ++(as.stats().*row.cow_faults);
+  CountVm(row.cow_counter);
   if (tracing) {
     uint64_t ns = trace::NowNanos() - t0;
-    ODF_TRACE(fault_cow_pte_table, as.owner_pid(), chunk_base, ns);
-    PteTableCowHistogram().RecordNanos(ns);
+    ODF_TRACE_ID(row.cow_event, as.owner_pid(), base, ns);
+    row.histogram().RecordNanos(ns);
   }
   return dedicated;
+}
+
+bool EnsureExclusivePath(AddressSpace& as, Vaddr va, AllocPolicy policy) {
+  // Top down, so the PTE-level lookup reads this space's own (dedicated) PMD table.
+  for (PtLevel level : {PtLevel::kPud, PtLevel::kPmd}) {
+    uint64_t* slot = as.walker().FindEntry(as.pgd(), va, level);
+    if (slot == nullptr) {
+      return true;
+    }
+    Pte entry = LoadEntry(slot);
+    if (entry.IsPresent() && !entry.IsHuge() && TableIsShared(as.allocator(), entry.frame()) &&
+        DedicateTable(as, level, va, slot, policy) == kInvalidFrame) {
+      return false;
+    }
+  }
+  return true;
 }
 
 bool RangeHasLiveVma(const AddressSpace& as, Vaddr lo, Vaddr hi) {
@@ -392,9 +396,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
     uint64_t* pud_slot = walker.FindEntry(as.pgd(), chunk_base, PtLevel::kPud);
     if (pud_slot != nullptr) {
       Pte pud = LoadEntry(pud_slot);
-      if (pud.IsPresent() &&
-          allocator.GetMeta(pud.frame()).pt_share_count.load(std::memory_order_acquire) >
-              1) {
+      if (pud.IsPresent() && TableIsShared(allocator, pud.frame())) {
         Vaddr pud_base = EntryBase(chunk_base, PtLevel::kPud);
         Vaddr pud_end = pud_base + EntrySpan(PtLevel::kPud);
         Vaddr covered_lo = std::max(pud_base, start);
@@ -412,7 +414,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
           chunk_base = std::min(pud_end, end) - kPteTableSpan;
           continue;
         }
-        DedicatePmdTable(as, pud_base, pud_slot);
+        DedicateTable(as, PtLevel::kPud, pud_base, pud_slot);
       }
     }
 
@@ -437,10 +439,8 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
 
     FrameId table = pmd.frame();
     bool full_chunk = (lo == chunk_base && hi == chunk_end);
-    uint32_t share =
-        allocator.GetMeta(table).pt_share_count.load(std::memory_order_acquire);
 
-    if (share > 1) {
+    if (TableIsShared(allocator, table)) {
       // §3.3: if no live VMA still needs entries in this 2 MiB span, just drop our
       // reference; otherwise COW the table and zap only our part of the private copy.
       bool remainder_live = !full_chunk && (RangeHasLiveVma(as, chunk_base, lo) ||
@@ -451,7 +451,7 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
         DropPteTableReference(allocator, as.swap_space(), table);
         continue;
       }
-      table = DedicatePteTable(as, chunk_base, pmd_slot);
+      table = DedicateTable(as, PtLevel::kPmd, chunk_base, pmd_slot);
     }
 
     if (full_chunk) {
@@ -462,26 +462,11 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
       continue;
     }
 
-    uint64_t* entries = allocator.TableEntries(table);
     std::array<FrameId, kEntriesPerTable> heads;
-    size_t mapped = 0;
-    for (Vaddr va = lo; va < hi; va += kPageSize) {
-      uint64_t* slot = &entries[TableIndex(va, PtLevel::kPte)];
-      Pte entry = LoadEntry(slot);
-      if (entry.IsPresent()) {
-        FrameId frame = entry.frame();
-        heads[mapped++] = ResolveCompoundHead(allocator.GetMeta(frame), frame);
-        StoreEntry(slot, Pte());
-      } else if (entry.IsSwap()) {
-        ODF_CHECK(as.swap_space() != nullptr);
-        as.swap_space()->DecRef(entry.swap_slot());
-        StoreEntry(slot, Pte());
-      } else if (entry.IsHwPoison()) {
-        // Unmapping a poisoned VA clears the tombstone; the frame itself stays quarantined
-        // (the allocator holds the poison state, not the entry).
-        StoreEntry(slot, Pte());
-      }
-    }
+    size_t mapped = ClearPteEntries(
+        allocator, as.swap_space(),
+        allocator.TableEntries(table) + TableIndex(lo, PtLevel::kPte),
+        (hi - lo) / kPageSize, heads.data());
     as.locks().InvalidateRange(lo, hi);  // Gen-before-free: entries above are already clear.
     allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
     if (TableIsEmpty(allocator, table)) {
@@ -492,27 +477,14 @@ void ZapRange(AddressSpace& as, Vaddr start, Vaddr end) {
 }
 
 void MovePageRange(AddressSpace& as, Vaddr old_start, Vaddr new_start, uint64_t length) {
-  FrameAllocator& allocator = as.allocator();
   Walker& walker = as.walker();
   ODF_CHECK(IsPageAligned(old_start) && IsPageAligned(new_start) && IsPageAligned(length));
 
   // Dedicate any shared table touched by the source range first (§3.3: remap performs COW on
-  // shared page tables), so moving entries out cannot corrupt other sharers. Shared PMD
-  // tables (§4 extension) must become exclusive before the PTE tables below them.
+  // shared page tables), so moving entries out cannot corrupt other sharers.
   for (Vaddr chunk = old_start & ~(kPteTableSpan - 1); chunk < old_start + length;
        chunk += kPteTableSpan) {
-    EnsureExclusivePmdPath(as, chunk);
-    uint64_t* pmd_slot = walker.FindEntry(as.pgd(), chunk, PtLevel::kPmd);
-    if (pmd_slot == nullptr) {
-      continue;
-    }
-    Pte pmd = LoadEntry(pmd_slot);
-    if (!pmd.IsPresent() || pmd.IsHuge()) {
-      continue;
-    }
-    if (allocator.GetMeta(pmd.frame()).pt_share_count.load(std::memory_order_acquire) > 1) {
-      DedicatePteTable(as, chunk, pmd_slot);
-    }
+    EnsureExclusivePath(as, chunk);
   }
 
   for (uint64_t offset = 0; offset < length; offset += kPageSize) {
@@ -527,14 +499,7 @@ void MovePageRange(AddressSpace& as, Vaddr old_start, Vaddr new_start, uint64_t 
     Vaddr dest_va = new_start + offset;
     // The destination chunk's table could itself be shared (a neighbouring VMA forked
     // earlier maps the same 2 MiB span): dedicate before inserting.
-    EnsureExclusivePmdPath(as, dest_va);
-    uint64_t* dest_pmd = walker.EnsureEntry(as.pgd(), dest_va, PtLevel::kPmd);
-    Pte dest_pmd_entry = LoadEntry(dest_pmd);
-    if (dest_pmd_entry.IsPresent() && !dest_pmd_entry.IsHuge() &&
-        allocator.GetMeta(dest_pmd_entry.frame())
-                .pt_share_count.load(std::memory_order_acquire) > 1) {
-      DedicatePteTable(as, dest_va & ~(kPteTableSpan - 1), dest_pmd);
-    }
+    EnsureExclusivePath(as, dest_va);
     uint64_t* dst_slot = walker.EnsureEntry(as.pgd(), dest_va, PtLevel::kPte);
     ODF_DCHECK(!LoadEntry(dst_slot).IsPresent()) << "mremap destination already mapped";
     StoreEntry(dst_slot, entry);
@@ -555,8 +520,7 @@ void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
     uint64_t* pud_slot = walker.FindEntry(as.pgd(), chunk, PtLevel::kPud);
     if (pud_slot != nullptr) {
       Pte pud = LoadEntry(pud_slot);
-      if (pud.IsPresent() && allocator.GetMeta(pud.frame())
-                                     .pt_share_count.load(std::memory_order_acquire) > 1) {
+      if (pud.IsPresent() && TableIsShared(allocator, pud.frame())) {
         // A shared PMD table is already write-protected at the PUD level; the fault handler
         // consults the VMA before any COW, so the downgrade needs no structural change.
         continue;
@@ -575,7 +539,7 @@ void ProtectRange(AddressSpace& as, Vaddr start, Vaddr end, uint32_t prot) {
       continue;
     }
     FrameId table = pmd.frame();
-    if (allocator.GetMeta(table).pt_share_count.load(std::memory_order_acquire) > 1) {
+    if (TableIsShared(allocator, table)) {
       // Already write-protected at the PMD level; the fault handler consults the VMA before
       // any COW, so a write into the downgraded range SEGVs without table changes.
       continue;

@@ -5,8 +5,11 @@
 #ifndef ODF_SRC_MM_RANGE_OPS_H_
 #define ODF_SRC_MM_RANGE_OPS_H_
 
+#include <array>
+
 #include "src/mm/address_space.h"
 #include "src/util/mutex.h"
+#include "src/util/stopwatch.h"
 
 namespace odf {
 
@@ -33,32 +36,85 @@ bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
 // and PTE-table references — and frees the table frame. Returns true when that happened.
 bool DropPmdTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId table);
 
-// Copy-on-write of a shared PMD table for `as` (§4 extension): analogous to
-// DedicatePteTable one level up. The private copy takes a reference on each huge compound
-// page and each PTE table; entries in BOTH copies are write-protected so the next level
-// still COWs lazily. `pud_span_base` is the 1 GiB-aligned base the PUD entry covers.
-// Under AllocPolicy::kTry, returns kInvalidFrame when the private table cannot be
-// allocated; the shared table and the PUD entry are left untouched.
-FrameId DedicatePmdTable(AddressSpace& as, Vaddr pud_span_base, uint64_t* pud_slot,
-                         AllocPolicy policy = AllocPolicy::kNoFail);
+// --- Table copiers: one per level, shared by fork and table COW ---
 
-// Makes the PMD table covering `va` exclusive to `as` (dedicating it if shared). Required
-// before any structural mutation below the PUD entry (zap, remap, protect, classic fork).
-// Returns false only under AllocPolicy::kTry when the dedication allocation failed.
-bool EnsureExclusivePmdPath(AddressSpace& as, Vaddr va,
-                            AllocPolicy policy = AllocPolicy::kNoFail);
+// The three passes of a PTE-table copy, which a profiled copy times separately (the Fig. 3
+// breakdown).
+enum class CopyPass { kMetaResolve, kRefcount, kEntryCopy };
 
-// Copy-on-write of a shared PTE table for `as` (§3.4): allocates a private table, copies all
-// 512 entries (preserving accessed bits, clearing writable in BOTH copies so data pages stay
-// COW-protected), takes one reference per mapped page, repoints `pmd_slot`, drops one share
-// from the old table, and flushes the 2 MiB region from this address space's TLB.
+// Profiling policies for CopyPteEntries, chosen at compile time so an unprofiled copy pays
+// nothing for the Fig. 3 breakdown. Lap() charges the time since the previous lap to one
+// pass.
+struct NoCopyProfile {
+  void Lap(CopyPass) {}
+};
+
+class TimedCopyProfile {
+ public:
+  // Each lap adds to the counter given for its pass.
+  TimedCopyProfile(uint64_t* meta_resolve_ns, uint64_t* refcount_ns, uint64_t* entry_copy_ns)
+      : pass_ns_{meta_resolve_ns, refcount_ns, entry_copy_ns} {}
+  void Lap(CopyPass pass) {
+    *pass_ns_[static_cast<size_t>(pass)] += sw_.ElapsedNanos();
+    sw_.Restart();
+  }
+
+ private:
+  std::array<uint64_t*, 3> pass_ns_;
+  Stopwatch sw_;
+};
+
+// Copies the PTE entries src[0, count) into dst: classic fork's copy_pte_range, and the
+// PTE-table COW of §3.4, which does the same work deferred to a fault. Three passes:
+// resolve each present page's compound head (the compound_head() hotspot), take every
+// reference in one IncRefBatch (page_ref_inc), then publish, so no copied entry points at
+// an under-referenced frame. With `wrprotect`, writable entries lose their write bit in
+// BOTH copies so each data page still COWs on its first write (shared-file mappings pass
+// false). Swapped pages take a slot reference (swap_map semantics) and poison markers copy
+// verbatim. Returns the number of entries copied: present pages plus swap entries.
+template <typename Profile>
+uint64_t CopyPteEntries(FrameAllocator& allocator, SwapSpace* swap, uint64_t* src,
+                        uint64_t* dst, size_t count, bool wrprotect, Profile profile);
+
+// What CopyPmdEntries copied.
+struct PmdCopyCounts {
+  uint64_t huge_entries = 0;  // 2 MiB mappings: one compound-page reference each.
+  uint64_t pte_tables = 0;    // PTE tables: one more share each.
+};
+
+// Copies the PMD entries src[0, count) into dst: on-demand fork of a PMD table (§3.1), and
+// the PMD-table COW of the §4 extension. A huge entry takes a reference on its compound page
+// and a PTE-table entry one more share on its table (one IncRefBatch and one
+// IncPtShareBatch, both before any entry is published). Every entry is write-protected in
+// BOTH copies, so the next write below COWs the huge page or the PTE table lazily (§3.2).
+PmdCopyCounts CopyPmdEntries(FrameAllocator& allocator, uint64_t* src, uint64_t* dst,
+                             size_t count);
+
+// Shares the page table `src_slot` points at with `dst_slot` (fork's table sharing at one
+// upper-level entry): one more share on the table, and both entries write-protected so that
+// every write below either of them faults (§3.2).
+void ShareTableEntry(FrameAllocator& allocator, uint64_t* src_slot, uint64_t* dst_slot);
+
+// Copy-on-write of the shared page table that `slot` points at, for `as`. `level` is the
+// level of `slot`: kPmd dedicates a PTE table (§3.4), kPud a PMD table (§4 extension); `va`
+// is any address the slot covers. Allocates a private table, fills it with the level's
+// copier (entries write-protected in both copies, so the level below still COWs lazily),
+// repoints `slot`, invalidates its span from this address space's TLB and drops one share
+// from the old table.
 //
 // If the share count has already dropped to 1 (the other sharers dedicated or exited), no
-// copy is needed: the PMD entry is simply write-enabled again ("fixup"). Returns the table
-// the PMD entry points at afterwards. Under AllocPolicy::kTry, returns kInvalidFrame when
-// the private table cannot be allocated; the shared table and PMD entry are left untouched
+// copy is needed: the entry is simply write-enabled again ("fixup"). Returns the table the
+// entry points at afterwards. Under AllocPolicy::kTry, returns kInvalidFrame when the
+// private table cannot be allocated; the shared table and the entry are left untouched
 // (the fixup path needs no allocation and always succeeds).
-FrameId DedicatePteTable(AddressSpace& as, Vaddr chunk_base, uint64_t* pmd_slot,
+FrameId DedicateTable(AddressSpace& as, PtLevel level, Vaddr va, uint64_t* slot,
+                      AllocPolicy policy = AllocPolicy::kNoFail);
+
+// Makes the page tables on the path to `va` exclusive to `as`: a shared PMD table covering
+// `va` is dedicated, then a shared PTE table below it. Required before any structural
+// mutation of those tables (fault install, populate, remap, classic fork, huge split).
+// Returns false only under AllocPolicy::kTry when a dedication allocation failed.
+bool EnsureExclusivePath(AddressSpace& as, Vaddr va,
                          AllocPolicy policy = AllocPolicy::kNoFail);
 
 // Drops one reference to the data frame mapped by a leaf entry (4 KiB page or, for

@@ -27,9 +27,9 @@
 //     quota can run direct reclaim without deadlocking against its own shared hold.
 //   - No other lock may be held at a quota-wait allocation point (TryWaitForQuota): a
 //     mutator blocked there has dropped the gate, and any lock it still held could be
-//     needed by the eviction that must run to unblock it. DedicatePteTable /
-//     DedicatePmdTable (range_ops.cc) and MemFile::GetPage (mem_fs.cc) pre-allocate
-//     outside their locks for exactly this reason.
+//     needed by the eviction that must run to unblock it. DedicateTable (range_ops.cc)
+//     and MemFile::GetPage (mem_fs.cc) pre-allocate outside their locks for exactly this
+//     reason.
 #ifndef ODF_SRC_PT_MM_GATE_H_
 #define ODF_SRC_PT_MM_GATE_H_
 

@@ -85,8 +85,8 @@ bool ShrinkFrame(ShrinkContext& ctx, FrameId frame, std::span<const Mapping> map
     }
     // Broadcast the swap entry into every mapping. The slot carries one reference per
     // mapping (TryWriteOut returned it with one), exactly mirroring the frame references
-    // being dropped below — sharers that later diverge (DedicatePteTable) IncRef the slot
-    // per copied swap PTE, and each swap-in fault DecRefs it.
+    // being dropped below — sharers that later diverge (DedicateTable's PTE copier) IncRef
+    // the slot per copied swap PTE, and each swap-in fault DecRefs it.
     for (size_t i = 1; i < mappings.size(); ++i) {
       ctx.swap->IncRef(slot);
     }

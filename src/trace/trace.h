@@ -227,14 +227,17 @@ class Tracer {
 #if ODF_TRACE_COMPILED
 // Arguments are evaluated only when tracing is runtime-enabled, so sites may pass mildly
 // expensive expressions (e.g. MappedBytes()) without taxing the disabled path.
-#define ODF_TRACE(name, ...)                                                        \
-  do {                                                                              \
-    if (::odf::trace::Enabled()) {                                                  \
-      ::odf::trace::Emit(::odf::TraceEventId::k_##name __VA_OPT__(, ) __VA_ARGS__); \
-    }                                                                               \
+#define ODF_TRACE(name, ...) ODF_TRACE_ID(::odf::TraceEventId::k_##name __VA_OPT__(, ) __VA_ARGS__)
+// ODF_TRACE for an event id held in a variable (e.g. one row of a per-level table).
+#define ODF_TRACE_ID(id, ...)                                    \
+  do {                                                           \
+    if (::odf::trace::Enabled()) {                               \
+      ::odf::trace::Emit((id)__VA_OPT__(, ) __VA_ARGS__);        \
+    }                                                            \
   } while (0)
 #else
 #define ODF_TRACE(name, ...) ((void)0)
+#define ODF_TRACE_ID(id, ...) ((void)0)
 #endif
 
 #endif  // ODF_SRC_TRACE_TRACE_H_

@@ -1,6 +1,11 @@
 // Semantics of classic fork (the baseline): eager PTE copying, per-page refcounts, data COW.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
+
+#include "src/debug/verify.h"
+#include "src/mf/memory_failure.h"
 #include "src/mm/range_ops.h"
 #include "src/trace/metrics.h"
 #include "tests/test_util.h"
@@ -172,6 +177,138 @@ TEST(ClassicForkProfileTest, ProfiledForkCountsSwapEntriesLikeUnprofiled) {
     }
     ExpectPattern(child, va, kPages * kPageSize, 5);
   }
+}
+
+// Reference counts held on what the parent maps in [lo, hi): per compound head (a split
+// huge page's tails all count on their head) and per swap slot.
+struct MappedRefs {
+  std::map<FrameId, int64_t> frames;
+  std::map<SwapSlot, int64_t> slots;
+  bool operator==(const MappedRefs&) const = default;
+};
+
+void PrintTo(const MappedRefs& refs, std::ostream* os) {
+  for (const auto& [frame, count] : refs.frames) {
+    *os << " frame " << frame << ": " << count;
+  }
+  for (const auto& [slot, count] : refs.slots) {
+    *os << " slot " << slot << ": " << count;
+  }
+}
+
+MappedRefs ReadMappedRefs(Kernel& kernel, Process& p, Vaddr lo, Vaddr hi) {
+  MappedRefs refs;
+  AddressSpace& as = p.address_space();
+  for (Vaddr va = lo; va < hi; va += kPageSize) {
+    uint64_t* slot = as.walker().FindEntry(as.pgd(), va, PtLevel::kPte);
+    Pte entry = slot != nullptr ? LoadEntry(slot) : Pte();
+    if (entry.IsPresent()) {
+      FrameId head = ResolveCompoundHead(kernel.allocator().GetMeta(entry.frame()),
+                                         entry.frame());
+      refs.frames[head] = kernel.allocator().GetMeta(head).refcount.load();
+    } else if (entry.IsSwap()) {
+      refs.slots[entry.swap_slot()] = kernel.swap_space().RefCount(entry.swap_slot());
+    }
+  }
+  return refs;
+}
+
+MappedRefs Delta(const MappedRefs& before, const MappedRefs& after) {
+  MappedRefs delta = after;
+  for (const auto& [frame, count] : before.frames) {
+    delta.frames[frame] -= count;
+  }
+  for (const auto& [slot, count] : before.slots) {
+    delta.slots[slot] -= count;
+  }
+  return delta;
+}
+
+bool PteWritable(Process& p, Vaddr va) {
+  AddressSpace& as = p.address_space();
+  uint64_t* slot = as.walker().FindEntry(as.pgd(), va, PtLevel::kPte);
+  return slot != nullptr && LoadEntry(slot).IsWritable();
+}
+
+// Classic fork and on-demand fork's PTE-table COW run one copier, so they must take the
+// same references. One PTE table mixes present anonymous pages, swap entries, a poison
+// marker and a MAP_SHARED file page. A huge VMA owns its whole 2 MiB chunk, so a split
+// huge page's compound tails (and the poison marker memory failure leaves among them) sit
+// in a second table of the same process.
+TEST(ForkCopyEquivalenceTest, ClassicForkAndTableCowTakeTheSameReferences) {
+  if (!ODF_MEMORY_FAILURE_COMPILED) {
+    GTEST_SKIP() << "memory failure compiled out";
+  }
+  constexpr uint64_t kAnonPages = 8;
+  constexpr uint32_t kRw = kProtRead | kProtWrite;
+  Kernel kernel;
+  Process& parent = kernel.CreateProcess();
+  AddressSpace& as = parent.address_space();
+  auto frame_at = [&](Vaddr va) {
+    return as.walker().Translate(as.pgd(), va, AccessType::kRead).frame;
+  };
+
+  // The split huge page: a hard offline of one subpage splits the 2 MiB mapping.
+  Vaddr huge = parent.Mmap(kHugePageSize, kRw, /*huge=*/true);
+  FillPattern(parent, huge, 16 * kPageSize, 1);
+  Vaddr huge_dead = huge + 3 * kPageSize;
+  ASSERT_EQ(kernel.MemoryFailure(frame_at(huge_dead)), mf::MfResult::kRecovered);
+
+  // The mixed table: anonymous pages, then one MAP_SHARED file page in the same chunk.
+  Vaddr anon = as.MapAnonymous(kAnonPages * kPageSize, kRw, /*huge=*/false,
+                               huge + 2 * kHugePageSize);
+  std::shared_ptr<MemFile> file = kernel.fs().Open("/shared");
+  file->Write(0, std::vector<std::byte>(kPageSize, std::byte{7}));
+  Vaddr file_va = as.MapFile(file, 0, kPageSize, kRw, /*shared=*/true,
+                             anon + (kAnonPages + 1) * kPageSize);
+  ASSERT_EQ(EntryBase(file_va, PtLevel::kPmd), EntryBase(anon, PtLevel::kPmd));
+  FillPattern(parent, anon, kAnonPages * kPageSize, 2);
+  WriteByte(parent, file_va, std::byte{0x5f});
+  ASSERT_TRUE(PteWritable(parent, file_va));
+  ASSERT_EQ(kernel.ReclaimMemory(kAnonPages / 2), kAnonPages / 2);
+  Vaddr anon_dead = 0;
+  for (Vaddr va = anon; va < anon + kAnonPages * kPageSize && anon_dead == 0; va += kPageSize) {
+    if (parent.Mincore(va, kPageSize).at(0) == 1) {
+      anon_dead = va;
+    }
+  }
+  ASSERT_NE(anon_dead, 0u);
+  ASSERT_EQ(kernel.MemoryFailure(frame_at(anon_dead)), mf::MfResult::kRecovered);
+
+  auto read_refs = [&] {
+    MappedRefs refs = ReadMappedRefs(kernel, parent, huge, huge + kHugePageSize);
+    MappedRefs mixed = ReadMappedRefs(kernel, parent, anon, file_va + kPageSize);
+    refs.frames.insert(mixed.frames.begin(), mixed.frames.end());
+    refs.slots.insert(mixed.slots.begin(), mixed.slots.end());
+    return refs;
+  };
+  const MappedRefs before = read_refs();
+  ASSERT_EQ(before.frames.size(), 1 + (kAnonPages / 2 - 1) + 1)
+      << "the compound head, the resident anonymous pages and the file page";
+  ASSERT_EQ(before.slots.size(), kAnonPages / 2);
+
+  Process& classic = kernel.Fork(parent, ForkMode::kClassic);
+  const MappedRefs classic_delta = Delta(before, read_refs());
+  EXPECT_TRUE(PteWritable(classic, file_va)) << "classic fork keeps MAP_SHARED writable";
+  EXPECT_TRUE(PteWritable(parent, file_va));
+  EXPECT_EQ(classic_delta.frames.at(frame_at(huge)), static_cast<int64_t>(kEntriesPerTable - 1))
+      << "one head reference per mapped tail";
+  kernel.Exit(classic, 0);
+  kernel.Wait(parent);
+  ASSERT_EQ(read_refs(), before);
+
+  // One table COW per table: the write to the shared-file page needs no page COW after it,
+  // and the access to the poisoned subpage dedicates the table before reporting the poison.
+  Process& odf = kernel.Fork(parent, ForkMode::kOnDemand);
+  WriteByte(odf, file_va, std::byte{0x60});
+  std::byte scratch{0};
+  EXPECT_FALSE(odf.WriteMemory(huge_dead, std::span(&scratch, 1)));
+  EXPECT_EQ(odf.last_fault_result(), FaultResult::kHwPoison);
+  EXPECT_EQ(odf.address_space().stats().pte_table_cow_faults, 2u);
+  EXPECT_EQ(Delta(before, read_refs()), classic_delta);
+
+  debug::VerifyResult result = debug::VerifyKernel(kernel);
+  EXPECT_TRUE(result.ok()) << result.Describe();
 }
 
 }  // namespace

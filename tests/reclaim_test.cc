@@ -364,8 +364,15 @@ TEST(KswapdTest, PressureBelowLowWatermarkWakesDaemonWhichBalancesToHigh) {
   // the daemon then reclaims in the background until free frames recover to HIGH.
   uint64_t high = kernel.allocator().watermarks().high;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while ((kernel.allocator().FreeFrames() < high ||
-          kernel.kswapd()->stats().wakeups.load() == 0) &&
+  while (kernel.kswapd()->stats().wakeups.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // A round that reached HIGH while FillPattern was still allocating leaves the last
+  // allocations' deficit between LOW and HIGH, which wakes nobody. Wake the daemon once
+  // more now that the allocations are done, so its last round balances the final state.
+  kernel.kswapd()->Wake();
+  while (kernel.allocator().FreeFrames() < high &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
