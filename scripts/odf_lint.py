@@ -38,9 +38,9 @@ offending line or the line above it — always with a reason):
   gen-before-free
       In src/mm/ and src/reclaim/, dropping frame references after rewriting
       page-table entries (allocator.DecRef / DecRefBatch following a
-      StoreEntry in the same function) requires a generation bump — an
-      MmLockTable InvalidatePage/InvalidateRange/FlushAll — between the
-      rewrite and the drop. "Gen before free" is the one load-bearing
+      StoreEntry or a ClearPteEntries in the same function) requires a
+      generation bump — an MmLockTable InvalidatePage/InvalidateRange/FlushAll
+      — between the rewrite and the drop. "Gen before free" is the one load-bearing
       invariant of the lock-free read protocol (src/pt/mm_locks.h): a reader
       that pinned the old frame must fail its generation recheck before the
       frame can be freed and recycled. Paths exempt by construction (never-published
@@ -144,8 +144,9 @@ RAW_STD_MUTEX_RE = re.compile(
 
 # gen-before-free: a frame-reference drop through the allocator...
 GEN_FREE_RE = re.compile(r"\ballocator\s*(?:\.|->)\s*(?:DecRef|DecRefBatch)\s*\(")
-# ... preceded in the same function by an entry rewrite ...
-GEN_STORE_RE = re.compile(r"\bStoreEntry\s*\(")
+# ... preceded in the same function by an entry rewrite (directly, or through the
+# range_ops PTE-range clear that rewrites the entries it collects) ...
+GEN_STORE_RE = re.compile(r"\b(?:StoreEntry|ClearPteEntries)\s*\(")
 # ... with no generation bump in between.
 GEN_BUMP_RE = re.compile(
     r"\b(?:InvalidatePage|InvalidateRange|FlushAll)\s*\("

@@ -227,10 +227,12 @@ bool DropPteTableReference(FrameAllocator& allocator, SwapSpace* swap, FrameId t
   // The caller bumped every covered shard generation before dropping its last table
   // share (ZapRange's "unlink, bump, THEN drop" ordering); by the time this runs no
   // lock-free reader can pass its generation recheck.
+  // odf-lint: allow(gen-before-free)
   allocator.DecRefBatch(std::span<const FrameId>(heads.data(), mapped));
   // Freed at once: the caller holds a lock that excludes every walker that can still
   // reach this table (docs/performance.md "Freeing a page table"). No translation caches
   // a table frame, so the free owes no generation bump of its own.
+  // odf-lint: allow(gen-before-free)
   allocator.DecRef(table);
   return true;
 }

@@ -41,4 +41,9 @@ void HwPoison(Allocator& allocator) {
   allocator.MarkHwPoison(frame);  // hwpoison-flag
 }
 
+void GenBeforeFreeThroughClear(Allocator& allocator, uint64_t* entries, FrameId* heads) {
+  size_t mapped = ClearPteEntries(allocator, nullptr, entries, 512, heads);
+  allocator.DecRefBatch(std::span<const FrameId>(heads, mapped));  // gen-before-free
+}
+
 }  // namespace odf_fixture

@@ -39,6 +39,7 @@ EXPECTED_DIRTY = {
     ("tests/lint_fixtures/dirty.cc", 37, "naked-lock"),
     ("tests/lint_fixtures/dirty.cc", 37, "table-mutex"),
     ("tests/lint_fixtures/dirty.cc", 41, "hwpoison-flag"),
+    ("tests/lint_fixtures/dirty.cc", 46, "gen-before-free"),
     ("tests/lint_fixtures/dirty.h", 9, "missing-nodiscard"),
 }
 
